@@ -15,8 +15,9 @@ example shows the full loop:
 - pull ``phase_fragments`` off the tracer's metrics — the same structure
   ``benchmarks.tables.write_bench_json`` embeds into BENCH baselines.
 
-The CLI exposes the same switches: ``python -m repro.cli run ablate
---trace trace.jsonl --progress`` then ``python -m repro.obs summarize
+The CLI exposes the same switches: ``python -m repro.cli spec ablate
+--out spec.json``, ``python -m repro.cli run spec.json --trace
+trace.jsonl --progress``, then ``python -m repro.obs summarize
 trace.jsonl``.
 
 Run with:  python examples/traced_campaign.py

@@ -16,6 +16,10 @@ executable grid:
   factory, so the grid runs through the serial backend, one-shot process
   pools, and persistent :class:`~repro.campaign.pool.WorkerPool` reuse
   alike — and shards/merges with the standard campaign transport,
+- :mod:`~repro.campaign.ablation.registry` holds one entry per priced
+  deal family — cell builder, coalitions, stake slope, premium base,
+  shocked notional and deal shape — behind the grid, the kernels, the
+  closed forms and the quote service,
 - :mod:`~repro.campaign.ablation.frontier` reduces the campaign report to
   a :class:`FrontierReport`: per (family, stage, shock) the smallest swept
   premium ``pi_star`` at which the rational pivot completes, plus each
@@ -60,8 +64,6 @@ from repro.campaign.ablation.grid import (
     closed_form_pi_star,
     coalition_deterrence_stake,
     deterrence_stake,
-    is_graph_family,
-    parse_graph_family,
     premium_base,
     shocked_notional,
 )
@@ -69,6 +71,13 @@ from repro.campaign.ablation.kernels import (
     KERNEL_FACTORIES,
     KernelEngine,
     KernelUnsupported,
+)
+from repro.campaign.ablation.registry import (
+    FAMILIES,
+    Family,
+    is_graph_family,
+    parse_graph_family,
+    resolve_family,
 )
 from repro.campaign.ablation.refine import (
     DEFAULT_TOL,
@@ -97,6 +106,8 @@ __all__ = [
     "DEFAULT_STAGES",
     "DEFAULT_TOL",
     "EXPAND_CEILING",
+    "FAMILIES",
+    "Family",
     "FrontierCell",
     "FrontierReport",
     "FrontierRow",
@@ -120,6 +131,7 @@ __all__ = [
     "refine_frontier",
     "refined_row_from_payload",
     "refined_row_payload",
+    "resolve_family",
     "row_descriptor",
     "row_key",
     "shocked_notional",

@@ -60,8 +60,15 @@ from dataclasses import dataclass
 from repro.campaign.canon import canon_float, fmt_fraction
 from repro.campaign.matrix import ScenarioMatrix
 from repro.campaign.pool import MatrixSpec, register_matrix_factory
+from repro.campaign.ablation.registry import (
+    FAMILIES,
+    PRINCIPAL,
+    Family,
+    FamilyCell,
+    resolve_family,
+)
 
-ABLATION_FAMILIES = ("two-party", "multi-party", "broker", "auction")
+ABLATION_FAMILIES = tuple(FAMILIES)
 
 #: premium fractions π swept by the default grid (0 = unhedged baseline).
 DEFAULT_PREMIUM_FRACTIONS = (0.0, 0.01, 0.02, 0.03, 0.05, 0.08)
@@ -77,51 +84,10 @@ STAGE_ALL = "all"
 
 #: the named two-party coalitions swept when ``coalitions=True``.
 ABLATION_COALITIONS = {
-    "multi-party": ("P1+P2",),
-    "broker": ("seller+buyer",),
+    name: tuple(entry.coalitions)
+    for name, entry in FAMILIES.items()
+    if entry.coalitions
 }
-
-#: the principal notional every family's π is sized against.
-PRINCIPAL = 100
-
-#: graph-shaped family kinds the grid prices beyond the named §5.2 four:
-#: ``ring:N`` / ``complete:N`` (plus the literal ``figure3``) name a
-#: multi-party swap over that digraph, hedged by the generic §7.1
-#: Equations 1–2 schedule.
-GRAPH_FAMILY_KINDS = ("ring", "complete")
-
-
-def parse_graph_family(family: str):
-    """``(graph, leaders)`` for a graph-shaped family name, else ``None``.
-
-    ``ring:N`` pins the canonical single leader ``P0`` (any one vertex
-    breaks the only cycle); ``figure3`` pins the paper's leader ``A``;
-    ``complete:N`` needs a genuine feedback vertex set, so it takes the
-    deterministic :func:`~repro.graph.feedback.minimum_feedback_vertex_set`.
-    The leaders are part of the family's identity: the same graph under a
-    different leader set prices differently, and a name must mean one cell.
-    """
-    from repro.graph.digraph import complete_graph, figure3_graph, ring_graph
-
-    if family == "figure3":
-        return figure3_graph(), ("A",)
-    kind, sep, count = family.partition(":")
-    if not sep or kind not in GRAPH_FAMILY_KINDS or not count.isdigit():
-        return None
-    n = int(count)
-    if n < 2:
-        return None
-    if kind == "ring":
-        return ring_graph(n), ("P0",)
-    from repro.graph.feedback import minimum_feedback_vertex_set
-
-    graph = complete_graph(n)
-    return graph, minimum_feedback_vertex_set(graph)
-
-
-def is_graph_family(family: str) -> bool:
-    """True iff ``family`` names a graph-shaped multi-party cell."""
-    return parse_graph_family(family) is not None
 
 
 def scaled_premium(fraction: float, base: int = PRINCIPAL) -> int:
@@ -242,467 +208,6 @@ def _axes(
     return tuple(axes)
 
 
-# ----------------------------------------------------------------------
-# family cells
-# ----------------------------------------------------------------------
-@dataclass
-class FamilyCell:
-    """One family's fully-wired cell context at one integer premium.
-
-    Everything a ``(family, coalition, premium)`` point of the grid needs
-    — builder, contract directory, pivot set, price-path ingredients,
-    stage schedule, properties, metrics parties, the utility model, and
-    the symbolic per-round gain terms — in one object shared by the matrix
-    adders (which expand it into comply/rational blocks per shock × stage)
-    and the vectorized kernel engine (which calibrates payoff templates
-    from it).  Building both from the same context is what makes the two
-    engines agree cell-by-cell: same closures, same float op order, same
-    block descriptors.
-    """
-
-    family: str
-    coalition: str  #: "" for the family's single pivot
-    premium: int  #: the effective integer premium π bought after rounding
-    pivots: tuple[str, ...]  #: parties the rational arm wraps
-    metrics_parties: tuple[str, ...]  #: utility-metric party set, in order
-    builder: object
-    contracts: tuple[tuple[str, str], ...]
-    base_values: tuple[tuple[str, float], ...]  #: TokenPrices ``base``
-    shocked: str  #: the token symbol the shock applies to
-    named: dict  #: named stage → shock height
-    horizon: int
-    properties: tuple
-    completed: object  #: instance -> bool, the cell's completion predicate
-    schedule_prefix: str  #: e.g. "" / "ring3/" / "ring3/P1+P2/"
-    model_factory: object  #: prices -> UtilityModel (the rational arm)
-    gain_terms: object  #: view -> list of per-member (sign, amount, asset) folds
-    #: how the folds combine into the model's completion gain:
-    #: "single" (one fold, as-is), "sum" (0 + fold_1 + ...), or "diff"
-    #: (fold_1 − fold_2, single-term folds — the auction's two legs).
-    gain_shape: str
-
-
-def _two_party_cell(premium: int) -> FamilyCell:
-    """§5.2 swap: rational Bob, shock on Alice's (incoming) token."""
-    from repro.checker import properties as props
-    from repro.core.hedged_two_party import HedgedTwoPartySpec, HedgedTwoPartySwap
-    from repro.parties.rational import completion_gain_terms, two_party_model
-
-    spec = HedgedTwoPartySpec(premium_a=2, premium_b=premium)
-    builder = lambda spec=spec: HedgedTwoPartySwap(spec).build()
-    probe = builder()
-    contracts = tuple(probe.contracts.values())
-
-    def completed(instance) -> bool:
-        return (
-            instance.contract("apricot_escrow").principal_state == "redeemed"
-            and instance.contract("banana_escrow").principal_state == "redeemed"
-        )
-
-    def model_factory(prices):
-        return two_party_model(spec, prices, contracts)
-
-    def gain_terms(view):
-        return [list(completion_gain_terms(spec.bob, view, contracts))]
-
-    return FamilyCell(
-        family="two-party",
-        coalition="",
-        premium=premium,
-        pivots=(spec.bob,),
-        metrics_parties=(spec.bob,),
-        builder=builder,
-        contracts=contracts,
-        base_values=(),
-        shocked=spec.token_a,
-        # Bob's premium lands at height 2; Alice escrows at height 3 and
-        # Bob's own escrow would land at height 4.
-        named={"pre-stake": 1, "staked": 3},
-        horizon=probe.horizon,
-        properties=(props.no_stuck_escrow, props.two_party_hedged),
-        completed=completed,
-        schedule_prefix="",
-        model_factory=model_factory,
-        gain_terms=gain_terms,
-        gain_shape="single",
-    )
-
-
-def _multi_party_probe(premium: int):
-    """Shared ring:3 builder/probe for pivot and coalition blocks."""
-    from repro.core.hedged_multi_party import HedgedMultiPartySwap
-    from repro.graph.digraph import ring_graph
-
-    builder = lambda p=premium: HedgedMultiPartySwap(
-        graph=ring_graph(3), premium=p, leaders=("P0",)
-    ).build()
-    return builder, builder()
-
-
-def _multi_party_completed(probe):
-    arc_labels = tuple(sorted(probe.contracts))
-
-    def completed(instance, labels=arc_labels) -> bool:
-        return all(
-            instance.contract(label).principal_state == "redeemed"
-            for label in labels
-        )
-
-    return completed
-
-
-def _multi_party_cell(premium: int) -> FamilyCell:
-    """§7.1 ring:3 swap: rational P1, shock on the leader's token."""
-    from repro.checker import properties as props
-    from repro.parties.rational import completion_gain_terms, swap_party_model
-
-    party = "P1"
-    builder, probe = _multi_party_probe(premium)
-    contracts = tuple(probe.contracts.values())
-    schedule = probe.meta["schedule"]
-
-    def model_factory(prices):
-        return swap_party_model(party, prices, contracts)
-
-    def gain_terms(view):
-        return [list(completion_gain_terms(party, view, contracts))]
-
-    return FamilyCell(
-        family="multi-party",
-        coalition="",
-        premium=premium,
-        pivots=(party,),
-        metrics_parties=(party,),
-        builder=builder,
-        contracts=contracts,
-        base_values=(),
-        shocked="p0-token",
-        # By phase 3 the pivot's escrow premium and its redemption premium
-        # for the leader's key are both held; its principal is not yet
-        # escrowed (followers escrow one round after the leaders).
-        named={"pre-stake": 0, "staked": schedule.p3_start},
-        horizon=schedule.horizon,
-        properties=(props.no_stuck_escrow, props.multi_party_lemmas),
-        completed=_multi_party_completed(probe),
-        schedule_prefix="ring3/",
-        model_factory=model_factory,
-        gain_terms=gain_terms,
-        gain_shape="single",
-    )
-
-
-def _multi_party_coalition_cell(premium: int) -> FamilyCell:
-    """Adjacent ring members P1+P2 walking together (coalition ``P1+P2``).
-
-    The members' shared arc (P1, P2) is internal: its escrow premium and
-    redemption deposits forfeit member-to-member, so the joint walk is
-    deterred only by the premiums facing P0 — a strictly smaller stake
-    than either single pivot's, which is what prices the collusive π*.
-    """
-    from repro.checker import properties as props
-    from repro.parties.rational import coalition_model, completion_gain_terms
-
-    members = ("P1", "P2")
-    coalition = "P1+P2"
-    builder, probe = _multi_party_probe(premium)
-    contracts = tuple(probe.contracts.values())
-    schedule = probe.meta["schedule"]
-    member_set = frozenset(members)
-
-    def model_factory(prices):
-        return coalition_model(members, prices, contracts)
-
-    def gain_terms(view):
-        # Mirrors coalition_model's joint gain: one fold per member in
-        # sorted order, each with the member set's internal-flow rule.
-        return [
-            list(
-                completion_gain_terms(p, view, contracts, coalition=member_set)
-            )
-            for p in sorted(member_set)
-        ]
-
-    return FamilyCell(
-        family="multi-party",
-        coalition=coalition,
-        premium=premium,
-        pivots=members,
-        metrics_parties=members,
-        builder=builder,
-        contracts=contracts,
-        base_values=(),
-        shocked="p0-token",
-        named={"pre-stake": 0, "staked": schedule.p3_start},
-        horizon=schedule.horizon,
-        properties=(props.no_stuck_escrow, props.multi_party_lemmas),
-        completed=_multi_party_completed(probe),
-        schedule_prefix=f"ring3/{coalition}/",
-        model_factory=model_factory,
-        gain_terms=gain_terms,
-        gain_shape="sum",
-    )
-
-
-def _broker_prices_base(spec):
-    return (
-        # A ticket trades for seller_price coins: that is its fair value.
-        (spec.ticket_token, float(spec.seller_price) / spec.tickets),
-        (spec.coin_token, 1.0),
-    )
-
-
-def _broker_completed(instance) -> bool:
-    return (
-        instance.contract("ticket").escrow_state == "redeemed"
-        and instance.contract("coin").escrow_state == "redeemed"
-    )
-
-
-def _broker_cell(premium: int) -> FamilyCell:
-    """§8.2 deal: rational seller Bob, shock on the coin he is paid in."""
-    from repro.checker import properties as props
-    from repro.core.hedged_broker import HedgedBrokerDeal
-    from repro.parties.rational import completion_gain_terms, swap_party_model
-    from repro.protocols.base_broker import BrokerSpec
-
-    spec = BrokerSpec()
-    builder = lambda p=premium: HedgedBrokerDeal(premium=p).build()
-    probe = builder()
-    contracts = tuple(probe.contracts.values())
-    deadlines = probe.meta["deadlines"]
-
-    def model_factory(prices):
-        return swap_party_model(spec.seller, prices, contracts)
-
-    def gain_terms(view):
-        return [list(completion_gain_terms(spec.seller, view, contracts))]
-
-    return FamilyCell(
-        family="broker",
-        coalition="",
-        premium=premium,
-        pivots=(spec.seller,),
-        metrics_parties=(spec.seller,),
-        builder=builder,
-        contracts=contracts,
-        base_values=_broker_prices_base(spec),
-        shocked=spec.coin_token,
-        # Activation height: all E/T/R premiums held, asset escrows still
-        # one round out.
-        named={"pre-stake": 0, "staked": deadlines.activation},
-        horizon=deadlines.horizon,
-        properties=(props.no_stuck_escrow, props.broker_bounds),
-        completed=_broker_completed,
-        schedule_prefix="",
-        model_factory=model_factory,
-        gain_terms=gain_terms,
-        gain_shape="single",
-    )
-
-
-def _broker_coalition_cell(premium: int) -> FamilyCell:
-    """Seller + buyer squeezing the broker (coalition ``seller+buyer``).
-
-    Bob and Carol trade with each other *through* Alice; colluding, the
-    ticket-for-coins exchange is internal, so only their E deposits (which
-    reimburse the broker's passthrough) and the redemption deposits facing
-    Alice still deter the joint walk.
-    """
-    from repro.checker import properties as props
-    from repro.core.hedged_broker import HedgedBrokerDeal
-    from repro.parties.rational import coalition_model, completion_gain_terms
-    from repro.protocols.base_broker import BrokerSpec
-
-    spec = BrokerSpec()
-    members = (spec.seller, spec.buyer)
-    coalition = "seller+buyer"
-    builder = lambda p=premium: HedgedBrokerDeal(premium=p).build()
-    probe = builder()
-    contracts = tuple(probe.contracts.values())
-    deadlines = probe.meta["deadlines"]
-    member_set = frozenset(members)
-
-    def model_factory(prices):
-        return coalition_model(members, prices, contracts)
-
-    def gain_terms(view):
-        return [
-            list(
-                completion_gain_terms(p, view, contracts, coalition=member_set)
-            )
-            for p in sorted(member_set)
-        ]
-
-    return FamilyCell(
-        family="broker",
-        coalition=coalition,
-        premium=premium,
-        pivots=members,
-        metrics_parties=members,
-        builder=builder,
-        contracts=contracts,
-        base_values=_broker_prices_base(spec),
-        shocked=spec.coin_token,
-        named={"pre-stake": 0, "staked": deadlines.activation},
-        horizon=deadlines.horizon,
-        properties=(props.no_stuck_escrow, props.broker_bounds),
-        completed=_broker_completed,
-        schedule_prefix=f"{coalition}/",
-        model_factory=model_factory,
-        gain_terms=gain_terms,
-        gain_shape="sum",
-    )
-
-
-def _auction_cell(premium: int) -> FamilyCell:
-    """§9 auction: rational auctioneer, shock on the bid coin.
-
-    Her walk-forfeit is p per bid placed, so π prices n·p against the
-    best bid: threshold s* = n·p / best_bid ≈ π (the caller quantizes π
-    with :func:`premium_base`).
-    """
-    from repro.checker import properties as props
-    from repro.core.hedged_auction import AuctionSpec, HedgedAuction
-    from repro.parties.rational import auction_model
-
-    spec = AuctionSpec(premium=premium)
-    best_bid = max(spec.bids.values(), default=0)
-    base_values = (
-        # Tickets are worth what the best bidder will pay for them.
-        (spec.ticket_token, float(best_bid) / spec.tickets),
-        (spec.coin_token, 1.0),
-    )
-    builder = lambda spec=spec: HedgedAuction(spec=spec).build()
-    probe = builder()
-    contracts = tuple(probe.contracts.values())
-
-    def completed(instance) -> bool:
-        return instance.contract("coin").outcome == "completed"
-
-    def model_factory(prices):
-        return auction_model(spec, prices, contracts)
-
-    def gain_terms(view):
-        # The model's two legs — best_bid · price(coin) − tickets ·
-        # price(ticket) — as one single-term fold per leg ("diff" shape).
-        coin = view.chain(spec.coin_chain).asset(spec.coin_token)
-        ticket = view.chain(spec.ticket_chain).asset(spec.ticket_token)
-        return [[(1, best_bid, coin)], [(1, spec.tickets, ticket)]]
-
-    return FamilyCell(
-        family="auction",
-        coalition="",
-        premium=premium,
-        pivots=(spec.auctioneer,),
-        metrics_parties=(spec.auctioneer,),
-        builder=builder,
-        contracts=contracts,
-        base_values=base_values,
-        shocked=spec.coin_token,
-        # Bids land at height 2; the declaration round is round 2.
-        named={"pre-stake": 0, "staked": 2},
-        horizon=probe.horizon,
-        properties=(props.no_stuck_escrow, props.auction_lemmas),
-        completed=completed,
-        schedule_prefix="",
-        model_factory=model_factory,
-        gain_terms=gain_terms,
-        gain_shape="diff",
-    )
-
-
-def _graph_cell(family: str, premium: int) -> FamilyCell:
-    """A multi-party cell over an arbitrary deal graph (``ring:N``,
-    ``complete:N``, ``figure3``).
-
-    The generalization of :func:`_multi_party_cell`: same rational pivot
-    construction, same stage aliases, same properties — only the digraph
-    (and with it the Equations 1–2 premium schedule the builder derives)
-    varies.  The pivot is the first follower in sorted order, and the
-    shock lands on its incoming asset from its first sorted in-neighbor,
-    mirroring the ring:3 cell's ``p0-token`` choice.
-    """
-    from repro.checker import properties as props
-    from repro.core.hedged_multi_party import HedgedMultiPartySwap
-    from repro.parties.rational import completion_gain_terms, swap_party_model
-
-    parsed = parse_graph_family(family)
-    if parsed is None:
-        raise ValueError(
-            f"not a graph-shaped family {family!r}: use ring:N, "
-            "complete:N, or figure3"
-        )
-    graph, leaders = parsed
-    builder = lambda p=premium, g=graph, l=leaders: HedgedMultiPartySwap(
-        graph=g, premium=p, leaders=l
-    ).build()
-    probe = builder()
-    contracts = tuple(probe.contracts.values())
-    schedule = probe.meta["schedule"]
-    pivot = min(p for p in graph.parties if p not in leaders)
-    shocked_neighbor = min(graph.in_neighbors(pivot))
-    shocked = f"{shocked_neighbor.lower()}-token"
-
-    def model_factory(prices):
-        return swap_party_model(pivot, prices, contracts)
-
-    def gain_terms(view):
-        return [list(completion_gain_terms(pivot, view, contracts))]
-
-    return FamilyCell(
-        family=family,
-        coalition="",
-        premium=premium,
-        pivots=(pivot,),
-        metrics_parties=(pivot,),
-        builder=builder,
-        contracts=contracts,
-        base_values=(),
-        shocked=shocked,
-        # Same stage aliases as ring:3: followers hold their escrow and
-        # redemption premiums by phase 3, principals are not yet locked.
-        named={"pre-stake": 0, "staked": schedule.p3_start},
-        horizon=schedule.horizon,
-        properties=(props.no_stuck_escrow, props.multi_party_lemmas),
-        completed=_multi_party_completed(probe),
-        schedule_prefix=f"{family}/",
-        model_factory=model_factory,
-        gain_terms=gain_terms,
-        gain_shape="single",
-    )
-
-
-_CELL_BUILDERS = {
-    ("two-party", ""): _two_party_cell,
-    ("multi-party", ""): _multi_party_cell,
-    ("multi-party", "P1+P2"): _multi_party_coalition_cell,
-    ("broker", ""): _broker_cell,
-    ("broker", "seller+buyer"): _broker_coalition_cell,
-    ("auction", ""): _auction_cell,
-}
-
-
-def family_cell(family: str, coalition: str, premium: int) -> FamilyCell:
-    """Build the shared cell context for ``(family, coalition, premium)``.
-
-    ``premium`` is the *effective integer* premium (what
-    :func:`scaled_premium` quantizes a fraction π into against the
-    family's :func:`premium_base`) — the same quantization the recorded
-    ``premium`` axis carries, so the kernel engine can rebuild a cell's
-    context from a scenario's axes alone.
-    """
-    builder = _CELL_BUILDERS.get((family, coalition))
-    if builder is None:
-        if not coalition and is_graph_family(family):
-            return _graph_cell(family, premium)
-        raise ValueError(
-            f"unknown ablation cell ({family!r}, {coalition!r}); "
-            f"known: {sorted(_CELL_BUILDERS)} or a graph-shaped family "
-            "(ring:N, complete:N, figure3) with no coalition"
-        )
-    return builder(premium)
-
-
 def _add_cell_blocks(matrix, cell: FamilyCell, pi, shock_fractions, stages) -> None:
     """Expand one cell context into its comply/rational blocks."""
     from repro.parties.rational import TokenPrices, rational_party
@@ -746,25 +251,13 @@ def _add_cell_blocks(matrix, cell: FamilyCell, pi, shock_fractions, stages) -> N
             )
 
 
-def _make_adder(family: str, coalition: str = ""):
-    """An adder over π for one (family, coalition) pair of cell contexts."""
-
-    def add(matrix, premium_fractions, shock_fractions, stages) -> None:
-        base = premium_base(family)
-        for pi in premium_fractions:
-            cell = family_cell(family, coalition, scaled_premium(pi, base))
-            _add_cell_blocks(matrix, cell, pi, shock_fractions, stages)
-
-    return add
-
-
-_FAMILY_ADDERS = {family: _make_adder(family) for family in ABLATION_FAMILIES}
-
-_COALITION_ADDERS = {
-    (family, coalition): _make_adder(family, coalition)
-    for family, coalitions in ABLATION_COALITIONS.items()
-    for coalition in coalitions
-}
+def _add_family_blocks(
+    matrix, entry: Family, coalition: str, premium_fractions, shock_fractions, stages
+) -> None:
+    """Expand one (family, coalition) pair of cell contexts over π."""
+    for pi in premium_fractions:
+        cell = entry.cell(coalition, scaled_premium(pi, entry.premium_base))
+        _add_cell_blocks(matrix, cell, pi, shock_fractions, stages)
 
 
 # ----------------------------------------------------------------------
@@ -778,111 +271,48 @@ def deterrence_stake(family: str, pi: float) -> float:
     the auction), so ``stake / principal_value`` is the closed-form
     deterrence threshold the measured frontier must reproduce.
     """
-    if family == "two-party":
-        return float(scaled_premium(pi))
-    if family == "multi-party":
-        from repro.core.premiums import (
-            escrow_premium_amounts,
-            redemption_premium_amount,
-        )
-        from repro.graph.digraph import ring_graph
+    return coalition_deterrence_stake(family, "", pi)
 
-        graph, p = ring_graph(3), scaled_premium(pi)
-        # P1's escrow premium on (P1,P2) plus its redemption premium for
-        # P0's key on (P0,P1), both still held at phase 3.
-        return float(
-            escrow_premium_amounts(graph, ("P0",), p)[("P1", "P2")]
-            + redemption_premium_amount(graph, ("P1", "P2", "P0"), "P0", p)
-        )
-    if family == "broker":
-        from repro.core.hedged_broker import broker_premium_tables
-        from repro.core.premiums import pruned_redemption_premium_amount
-        from repro.protocols.base_broker import BrokerSpec
 
-        spec, p = BrokerSpec(), scaled_premium(pi)
-        tables = broker_premium_tables(spec, p)
-        # The binding deviation is *escrow, then withhold the key*: deal
-        # redemption needs every party's hashkey, so Bob can still wreck
-        # the trade after escrowing — at which point his escrow premium
-        # E(B,A) has already refunded and only his redemption premium
-        # deposits (as redeemer of (A,B)) are forfeit.  The rational pivot
-        # finds that cheaper walk, so it is the measured frontier.
-        keys = tables["required_keys"][(spec.broker, spec.seller)]
-        graph, contract_of = spec.graph(), tables["contract_of"]
-        stake = 0
-        for leader in keys:
-            # every (seller → leader) path is unique in the deal digraph
-            (path,) = graph.simple_paths(spec.seller, leader)
-            stake += pruned_redemption_premium_amount(
-                graph, path, spec.broker, p, contract_of
-            )
-        return float(stake)
-    if family == "auction":
-        from repro.core.hedged_auction import AuctionSpec
+def coalition_deterrence_stake(family: str, coalition: str, pi: float) -> float | None:
+    """The pivot set's *outsider-facing* walk-forfeit at the staked stage
+    (``coalition=""`` is the single pivot).
 
-        spec = AuctionSpec()
-        best_bid = max(spec.bids.values())
-        p = scaled_premium(pi, best_bid // len(spec.bidders))
-        return float(p * len(spec.bidders))
-    raise ValueError(f"unknown ablation family {family!r}")
+    Internal deposits (member-to-member forfeits) are excluded — they
+    move value inside the coalition, so they deter nothing.  Returns
+    ``None`` when no finite stake deters the joint walk at any premium
+    (the broker coalition).
+    """
+    entry = resolve_family(family)
+    slope = entry.slope(coalition)
+    if slope is None:
+        return None
+    return float(slope * scaled_premium(pi, entry.premium_base))
 
 
 def shocked_notional(family: str) -> float:
     """The value the staked-stage shock applies to (denominator of s*)."""
-    if family == "auction":
-        from repro.core.hedged_auction import AuctionSpec
-
-        return float(max(AuctionSpec().bids.values()))
-    return float(PRINCIPAL)
+    return resolve_family(family).shocked_notional
 
 
 def premium_base(family: str) -> int:
     """The base notional a family's π is quantized against: the integer
     premium a fraction buys is ``round(π · premium_base)``."""
-    if family == "auction":
-        from repro.core.hedged_auction import AuctionSpec
-
-        spec = AuctionSpec()
-        return max(spec.bids.values()) // len(spec.bidders)
-    return PRINCIPAL
+    return resolve_family(family).premium_base
 
 
-def coalition_deterrence_stake(family: str, coalition: str, pi: float) -> float | None:
-    """The coalition's *outsider-facing* walk-forfeit at the staked stage.
+def closed_form_pi_star(family: str, shock: float) -> float | None:
+    """The continuous §5.2-style deterrence threshold for a staked shock.
 
-    Internal deposits (member-to-member forfeits) are excluded — they
-    move value inside the coalition, so they deter nothing.  Returns
-    ``None`` when no finite stake deters the joint walk at any premium
-    (the broker coalition; see :func:`closed_form_coalition_pi_star`).
+    The un-quantized π at which the pivot's stake (linear in the integer
+    premium: two-party ``p_b``, ring ``4p``, broker ``3p``, auction
+    ``n·p``) equals the shocked value drop.  The *measured* (bisected) π*
+    differs from this by at most half a premium unit of quantization,
+    ``0.5 / premium_base`` — well inside the refinement engine's default
+    tolerance of 1/64.  For graph families beyond the named four it is
+    an estimate of the same inequality.
     """
-    if (family, coalition) == ("multi-party", "P1+P2"):
-        from repro.core.premiums import (
-            escrow_premium_amounts,
-            redemption_premium_amount,
-        )
-        from repro.graph.digraph import ring_graph
-
-        graph, p = ring_graph(3), scaled_premium(pi)
-        # P1's escrow premium on (P1,P2) forfeits to P2 — internal.  What
-        # faces the outsider P0: P2's escrow premium on (P2,P0), plus P1's
-        # redemption premium for P0's key on (P0,P1).  (P2's redemption
-        # deposits sit on (P1,P2), facing P1 — internal.)
-        return float(
-            escrow_premium_amounts(graph, ("P0",), p)[("P2", "P0")]
-            + redemption_premium_amount(graph, ("P1", "P2", "P0"), "P0", p)
-        )
-    if (family, coalition) == ("broker", "seller+buyer"):
-        # Deal redemption needs every party's hashkey, and the E/T/R
-        # deposits all resolve *before* the payout round — so the seller
-        # and buyer can always wait for the stake-free tail and then
-        # withhold their keys together.  At that point walking forfeits
-        # nothing while completing still costs them the broker's markup:
-        # no finite premium deters the joint walk.
-        return None
-    raise ValueError(
-        f"unknown coalition ({family!r}, {coalition!r}); "
-        f"known: {sorted((f, c) for f, cs in ABLATION_COALITIONS.items() for c in cs)}"
-    )
+    return resolve_family(family).pi_star(shock)
 
 
 def closed_form_coalition_pi_star(
@@ -890,42 +320,15 @@ def closed_form_coalition_pi_star(
 ) -> float | None:
     """The continuous collusive deterrence threshold, or ``None``.
 
-    Same construction as :func:`closed_form_pi_star`, but over the
-    coalition's outsider-facing stake sum
-    (:func:`coalition_deterrence_stake`): the joint pivot walks iff the
-    shocked value drop on its external flows exceeds the external stake.
-    For the ring-adjacent ``P1+P2`` pair the external stake (``3p``
-    escrow toward P0 plus ``p`` redemption) happens to equal the single
-    pivot's ``4p``, so the collusive threshold coincides with the single
-    one — collusion never pays a discount.  ``None`` means the walk is
-    un-hedgeable rent: the broker's ``seller+buyer`` pair always finds a
-    stake-free round from which withholding keys strands the markup, so
-    the refined frontier must report the row undeterred at every probed
-    premium.
+    Same formula over the coalition's outsider-facing stake
+    (:func:`coalition_deterrence_stake`).  For the ring-adjacent
+    ``P1+P2`` pair the external stake (``3p`` escrow toward P0 plus ``p``
+    redemption) equals the single pivot's ``4p``, so collusion never pays
+    a discount.  ``None`` means the walk is un-hedgeable rent: the
+    broker's ``seller+buyer`` pair always finds a stake-free round from
+    which withholding keys strands the markup.
     """
-    base = premium_base(family)
-    ref_premium = 4  # exactly representable: ref_pi · base == 4 for all bases
-    stake = coalition_deterrence_stake(family, coalition, ref_premium / base)
-    if stake is None:
-        return None
-    slope = stake / ref_premium
-    return shocked_notional(family) * shock / (slope * base)
-
-
-def closed_form_pi_star(family: str, shock: float) -> float:
-    """The continuous §5.2-style deterrence threshold for a staked shock.
-
-    :func:`deterrence_stake` is linear in the integer premium π buys
-    (two-party ``p_b``, ring ``4p``, broker ``3p``, auction ``n·p``); the
-    un-quantized threshold is the π at which that stake equals the shocked
-    value drop.  The *measured* (bisected) π* differs from this by at most
-    half a premium unit of quantization, ``0.5 / premium_base`` — well
-    inside the refinement engine's default tolerance of 1/64.
-    """
-    base = premium_base(family)
-    ref_premium = 4  # exactly representable: ref_pi · base == 4 for all bases
-    slope = deterrence_stake(family, ref_premium / base) / ref_premium
-    return shocked_notional(family) * shock / (slope * base)
+    return resolve_family(family).pi_star(shock, coalition)
 
 
 # ----------------------------------------------------------------------
@@ -964,25 +367,17 @@ class AblationGrid:
         )
 
 
-def _family_adder(family: str):
-    """The matrix adder for ``family``: a registered named family's, or a
-    fresh generic one for a graph-shaped family."""
-    adder = _FAMILY_ADDERS.get(family)
-    if adder is not None:
-        return adder
-    return _make_adder(family)
-
-
 def _validate_grid(families, stages) -> None:
-    unknown = {
-        family
-        for family in families
-        if family not in _FAMILY_ADDERS and not is_graph_family(family)
-    }
+    unknown = set()
+    for family in families:
+        try:
+            resolve_family(family)
+        except ValueError:
+            unknown.add(family)
     if unknown:
         raise ValueError(
             f"unknown ablation families {sorted(unknown)}; "
-            f"known: {sorted(_FAMILY_ADDERS)} or graph-shaped "
+            f"known: {sorted(FAMILIES)} or graph-shaped "
             "(ring:N, complete:N, figure3)"
         )
     bad_stages = [stage for stage in stages if not valid_stage(stage)]
@@ -1065,12 +460,11 @@ def ablation_matrix(
     stages = kwargs["stages"]
     matrix = ScenarioMatrix(seed=seed)
     for family in families:
-        _family_adder(family)(matrix, premium_fractions, shock_fractions, stages)
-        if coalitions:
-            for coalition in ABLATION_COALITIONS.get(family, ()):
-                _COALITION_ADDERS[(family, coalition)](
-                    matrix, premium_fractions, shock_fractions, stages
-                )
+        entry = resolve_family(family)
+        for coalition in ("", *entry.coalitions) if coalitions else ("",):
+            _add_family_blocks(
+                matrix, entry, coalition, premium_fractions, shock_fractions, stages
+            )
     matrix.spec = spec
     return matrix
 
@@ -1093,12 +487,7 @@ def ablation_cell(
     worker-side digest audit as full grids.  ``coalition`` selects a named
     joint-pivot cell instead of the family's single pivot.
     """
-    if family not in _FAMILY_ADDERS and not is_graph_family(family):
-        raise ValueError(
-            f"unknown ablation family {family!r}; known: "
-            f"{sorted(_FAMILY_ADDERS)} or graph-shaped "
-            "(ring:N, complete:N, figure3)"
-        )
+    entry = resolve_family(family)
     if not valid_stage(stage) or stage == STAGE_ALL:
         raise ValueError(
             f"ablation_cell needs one concrete stage, got {stage!r} "
@@ -1107,16 +496,7 @@ def ablation_cell(
     pi = canon_float(pi)
     shock = canon_float(shock)
     matrix = ScenarioMatrix(seed=seed)
-    if coalition:
-        adder = _COALITION_ADDERS.get((family, coalition))
-        if adder is None:
-            raise ValueError(
-                f"unknown coalition {coalition!r} for family {family!r}; "
-                f"known: {sorted(ABLATION_COALITIONS.get(family, ()))}"
-            )
-        adder(matrix, (pi,), (shock,), (stage,))
-    else:
-        _family_adder(family)(matrix, (pi,), (shock,), (stage,))
+    _add_family_blocks(matrix, entry, coalition, (pi,), (shock,), (stage,))
     matrix.spec = MatrixSpec(
         factory="ablation_cell",
         kwargs=(

@@ -10,7 +10,7 @@ piecewise constant in trajectory and closed-form in payoff, which is what
 this module exploits:
 
 1. **Template calibration.**  One real simulation per cell context
-   (:func:`repro.campaign.ablation.grid.family_cell`) runs the compliant
+   (:meth:`repro.campaign.ablation.registry.Family.cell`) runs the compliant
    trajectory with the pivot wrapped in a pass-through recorder.  Each
    round it captures the pivot (set)'s walk-forfeit stake — price-
    independent by construction — and the symbolic completion-gain terms
@@ -381,10 +381,10 @@ class KernelEngine:
         key = (family, coalition, premium)
         kernel = self._kernels.get(key)
         if kernel is None:
-            from repro.campaign.ablation.grid import family_cell
+            from repro.campaign.ablation.registry import resolve_family
 
             try:
-                cell = family_cell(family, coalition, premium)
+                cell = resolve_family(family).cell(coalition, premium)
             except ValueError as err:
                 raise KernelUnsupported(str(err))
             kernel = _CellKernel(cell)

@@ -32,10 +32,6 @@ persistent :class:`~repro.campaign.pool.WorkerPool` and the incremental
 and bisection probes alike), verifies ``expect``, and returns an
 :class:`ExperimentResult` holding reports that all conform to the common
 :mod:`~repro.campaign.report` protocol.
-
-The legacy CLI subcommands construct these specs from their flags and run
-through this facade, which is what makes ``spec``-driven and flag-driven
-runs byte-identical by construction.
 """
 
 from __future__ import annotations
@@ -261,7 +257,7 @@ class ExperimentSpec:
 
 
 # ----------------------------------------------------------------------
-# spec builders (the CLI shims' and `spec` subcommand's constructors)
+# spec builders (the `spec` subcommand's constructors)
 # ----------------------------------------------------------------------
 def _exec_fields(backend, workers, limit, shard, expect):
     return dict(

@@ -8,9 +8,7 @@ the spine that makes them one family:
 
 - every report class registers under a short ``kind`` string
   (:func:`register_report`), which it stamps into its JSON payload,
-- :func:`report_from_json` dispatches deserialization on that ``kind``
-  (files written before the field existed are inferred from their shape,
-  so old shard artifacts keep loading),
+- :func:`report_from_json` dispatches deserialization on that ``kind``,
 - :func:`merge_reports_any` is the kind-aware merge behind the CLI's
   single ``merge`` subcommand: homogeneous inputs dispatch to the class's
   own ``merge``; a reduced artifact (frontier, refined frontier) says
@@ -108,21 +106,6 @@ def report_class(kind: str) -> Type:
     return _REPORT_KINDS[kind]
 
 
-def _infer_kind(data: dict) -> str:
-    """Shape-infer the kind of a pre-protocol JSON file (no ``kind`` key)."""
-    if "results" in data and "run_digest" in data:
-        return "campaign"
-    if "base_digest" in data:
-        return "refined-frontier"
-    if "rows" in data:
-        return "frontier"
-    raise ValueError(
-        "not a recognizable report: no 'kind' field and the payload shape "
-        "matches none of the known report kinds "
-        f"({list(registered_report_kinds())})"
-    )
-
-
 def report_from_json(text: str) -> Report:
     """Deserialize any registered report, dispatching on its ``kind``."""
     try:
@@ -131,7 +114,12 @@ def report_from_json(text: str) -> Report:
         raise ValueError(f"not a JSON report: {err}")
     if not isinstance(data, dict):
         raise ValueError(f"not a JSON report object: got {type(data).__name__}")
-    kind = data.get("kind") or _infer_kind(data)
+    kind = data.get("kind")
+    if not kind:
+        raise ValueError(
+            "not a recognizable report: no 'kind' field (registered: "
+            f"{list(registered_report_kinds())})"
+        )
     try:
         cls = report_class(kind)
     except KeyError as err:
@@ -161,10 +149,9 @@ def check_kind(cls, data: dict) -> None:
 def merge_reports_any(reports: Iterable[Report]) -> Report:
     """Kind-aware merge: dispatch homogeneous reports to their own merge.
 
-    This is what lets one CLI ``merge`` subcommand replace the old
-    ``campaign-merge``/``ablate-merge`` pair: campaign shards (from either
-    matrix shape) recombine via the class merge; mixed kinds, or reduced
-    artifacts whose class merge raises, fail with guidance.
+    The engine behind the CLI's one ``merge`` subcommand: campaign shards
+    (from either matrix shape) recombine via the class merge; mixed kinds,
+    or reduced artifacts whose class merge raises, fail with guidance.
     """
     reports = list(reports)
     if not reports:

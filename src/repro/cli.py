@@ -20,96 +20,34 @@ factory and its parameters, the selection, the backend, the refinement
 tolerance, and (optionally) the digests the run must reproduce.
 
 - ``spec campaign|ablate|ablate-refine [flags] --out SPEC.json`` emits a
-  spec from the same flags the legacy subcommands take,
-- ``run SPEC.json`` executes it — add ``--cache DIR`` for the incremental
-  result cache (verified scenario blocks keyed on block descriptor + code
-  version are served from the store; the hit-rate is reported next to the
-  digest, which a warm run reproduces byte-identically),
+  spec: the adversarial campaign matrix, the rational-adversary ablation
+  lattice (the deviation-profitability frontier), or the lattice plus
+  bisection to a continuous π* (``--tol``, default 1/64),
+- ``run SPEC.json`` executes it — ``--cache DIR`` serves verified scenario
+  blocks from the incremental result cache (the hit-rate is reported next
+  to the digest, which a warm run reproduces byte-identically),
+  ``--expect DIGEST`` asserts the primary report digest, and ``--out`` /
+  ``--frontier-out`` / ``--refined-out`` write the reports,
 - ``merge R1.json R2.json ...`` is kind-aware: campaign shard reports (of
-  either matrix shape) recombine into the unsharded run digest, and
-  ablation-shaped merges reduce the frontier too,
-- the legacy ``campaign``/``ablate``/``ablate-refine`` subcommands are
-  thin shims that construct the same spec from their flags and run it
-  through the same facade — flag-driven and spec-driven runs are
-  byte-identical by construction.
+  either matrix shape, from specs emitted with ``--shard I/N``) recombine
+  into the unsharded run digest, and ablation-shaped merges reduce the
+  frontier too.
+
+Every report states its selection and coverage and folds them into its
+digest, so a partial run can never pass for full coverage.
 
 ::
 
     python -m repro.cli spec ablate --premiums 0,0.02,0.05 --shocks 0.045 \
         --stages staked --out spec.json
-    python -m repro.cli run spec.json --cache .repro-cache
     python -m repro.cli run spec.json --cache .repro-cache --expect 9c31…
+    python -m repro.cli spec campaign --shard 1/2 --out s1-spec.json
+    python -m repro.cli run s1-spec.json --out s1.json
+    python -m repro.cli merge s1.json s2.json --expect 4f0c…
 
-``campaign`` runs the batched adversarial scenario matrix over every
-protocol family:
-
-- ``--backend process`` parallelises it (tiny selections fall back to
-  serial; the report records the backend that actually ran),
-- ``--limit N`` smoke-runs a deterministic subsample of exactly
-  ``min(N, total)`` scenarios, stratified by matrix block — every family
-  contributes at least one scenario whenever ``N`` reaches the block
-  count, with the rest apportioned by block size,
-- ``--shard I/N`` runs the I-th of N contiguous slices of the selection;
-  every report states its selection and coverage, and folds them into the
-  run digest, so a partial run can never pass for full coverage,
-- ``--out report.json`` writes the report (with per-scenario digests) for
-  ``campaign-merge``, which recombines shard reports and recomputes the
-  run digest — byte-identical to the unsharded run when coverage is
-  complete (``--expect DIGEST`` asserts it),
-- ``--seed`` stamps the matrix identity into the digests but never changes
-  which scenarios run.
-
-::
-
-    python -m repro.cli campaign
-    python -m repro.cli campaign --families two-party,broker --backend process
-    python -m repro.cli campaign --limit 120
-    python -m repro.cli campaign --shard 1/3 --out shard1.json
-    python -m repro.cli campaign-merge shard1.json shard2.json shard3.json \
-        --expect 4f0c…
-
-``ablate`` maps the deviation-profitability frontier: it crosses the
-protocol families with rational (utility-driven) pivot actors over a
-premium-fraction × price-shock × shock-stage grid, runs every cell's
-comply/rational arm pair, and reduces the report to — per family, stage,
-and shock — the smallest swept premium π* at which walking away stops
-being rational (`repro.campaign.ablation`).  The frontier digest is
-byte-identical across serial, process, pooled, and sharded-then-merged
-runs of the same grid:
-
-- ``--premiums`` / ``--shocks`` take comma-separated fractions,
-  ``--stages`` a comma-separated mix of the named stages
-  (``pre-stake,staked``), explicit ``round:K`` heights, or ``all`` — the
-  dense per-round sweep charting how the deterrent decays round by round,
-- ``--coalitions`` adds the named two-party coalition pivots (adjacent
-  ring members, seller+buyer vs the broker) with joint-utility arms,
-- ``--pooled`` runs through a persistent worker pool (the matrix is a
-  registered pool factory, so workers rebuild and digest-verify it),
-- ``--shard I/N --out shard.json`` writes a mergeable campaign report;
-  ``ablate-merge`` recombines the shards, reduces the frontier, and
-  checks ``--expect`` against the frontier digest.
-
-::
-
-    python -m repro.cli ablate
-    python -m repro.cli ablate --families two-party --premiums 0,0.02 \
-        --shocks 0.015,0.045 --pooled --expect 9c31…
-    python -m repro.cli ablate --stages all --coalitions
-    python -m repro.cli ablate --shard 1/2 --out s1.json
-    python -m repro.cli ablate-merge s1.json s2.json --frontier-out frontier.json
-
-``ablate-refine`` closes the staircase: it runs (or loads, via ``--from``)
-a lattice frontier, then bisects each row's walk/deter boundary with
-adaptive two-scenario cell probes until the bracket is within ``--tol``
-(default 1/64), reporting a *continuous* π* that brackets the §5.2
-closed-form thresholds.  The refined digest hashes the lattice digest,
-the tolerance, and every probe outcome + probe run digest, so it is
-byte-identical across serial, pooled, and refined-from-merged runs::
-
-    python -m repro.cli ablate-refine --premiums 0,0.02,0.05 --shocks 0.045
-    python -m repro.cli ablate-refine --stages all --coalitions --pooled
-    python -m repro.cli ablate-refine --from frontier.json --tol 0.0078125 \
-        --refined-out refined.json --expect 5c11…
+``quote`` prices one deal (``--family`` or ``--graph``) through the
+closed-form / cached-row / measurement ladder; ``quote-batch`` prices a
+JSON array of requests.
 """
 
 from __future__ import annotations
@@ -123,12 +61,10 @@ from repro.campaign import (
     ExperimentSpec,
     FAMILY_NAMES,
     ResultCache,
-    WorkerPool,
     ablate_spec,
     campaign_spec,
     merge_reports_any,
     reduce_frontier,
-    refine_frontier,
     refine_spec,
     report_from_json,
     shared_cache,
@@ -340,7 +276,7 @@ def _write_json(path: str, text: str, label: str) -> None:
 
 
 def _open_cache(args) -> ResultCache | None:
-    path = getattr(args, "cache", None)
+    path = args.cache
     if not path:
         return None
     try:
@@ -385,8 +321,8 @@ def _obs_from_args(args):
     Telemetry is digest-inert — a traced run reproduces the untraced
     digests byte-identically (CI's trace-smoke job asserts it).
     """
-    trace_path = getattr(args, "trace", None)
-    want_progress = getattr(args, "progress", False)
+    trace_path = args.trace
+    want_progress = args.progress
     tracer = None
     if trace_path:
         from repro.obs import Tracer, TraceWriter
@@ -400,8 +336,8 @@ def _obs_from_args(args):
 
 
 def _spec_from_args(kind: str, args) -> ExperimentSpec:
-    """One spec constructor behind both `spec` and the legacy shims."""
-    backend = "pooled" if getattr(args, "pooled", False) else args.backend
+    """The spec constructor behind the `spec` subcommand."""
+    backend = "pooled" if args.pooled else args.backend
     try:
         if kind == "campaign":
             return campaign_spec(
@@ -424,7 +360,7 @@ def _spec_from_args(kind: str, args) -> ExperimentSpec:
             seed=args.seed,
             backend=backend,
             workers=args.workers,
-            engine=getattr(args, "engine", "kernel"),
+            engine=args.engine,
         )
         if kind == "ablate":
             return ablate_spec(shard=_parse_shard(args.shard), **grid)
@@ -494,10 +430,9 @@ def _print_refined(refined) -> None:
     print(f"refined digest: {refined.digest}")
 
 
-def _run_experiment(spec: ExperimentSpec, args, list_only: bool = False):
-    """Execute a spec and print its reports (the shared engine behind
-    ``run`` and the legacy shims).  Returns the :class:`ExperimentResult`,
-    or None for ``--list``."""
+def _run_experiment(spec: ExperimentSpec, args):
+    """Execute a spec and print its reports.  Returns the
+    :class:`ExperimentResult`, or None for ``--list``."""
     cache = _open_cache(args)
     try:
         matrix = spec.matrix.build()
@@ -505,7 +440,7 @@ def _run_experiment(spec: ExperimentSpec, args, list_only: bool = False):
         raise SystemExit(f"error: {err}")
     label = "matrix" if spec.kind == "campaign" else "ablation grid"
     _print_matrix_breakdown(matrix, label)
-    if list_only:
+    if args.list:
         return None
     tracer, progress = _obs_from_args(args)
     try:
@@ -520,7 +455,7 @@ def _run_experiment(spec: ExperimentSpec, args, list_only: bool = False):
     finally:
         if tracer is not None:
             tracer.close()
-    if getattr(args, "trace", None):
+    if args.trace:
         print(f"trace written to {args.trace} "
               f"(summarize with: python -m repro.obs summarize {args.trace})")
     report = result.campaign
@@ -531,15 +466,15 @@ def _run_experiment(spec: ExperimentSpec, args, list_only: bool = False):
         print(report.summary())
         print(f"run digest: {report.run_digest}{_cache_note(report)}")
         _print_violations(report)
-    if getattr(args, "out", None):
+    if args.out:
         _write_json(args.out, report.to_json(), "report")
     if result.frontier is not None:
         _print_frontier(result.frontier)
-        if getattr(args, "frontier_out", None):
+        if args.frontier_out:
             _write_json(args.frontier_out, result.frontier.to_json(), "frontier")
     if result.refined is not None:
         _print_refined(result.refined)
-        if getattr(args, "refined_out", None):
+        if args.refined_out:
             _write_json(
                 args.refined_out, result.refined.to_json(), "refined frontier"
             )
@@ -547,8 +482,8 @@ def _run_experiment(spec: ExperimentSpec, args, list_only: bool = False):
 
 
 def _check_expect(args, kind: str, result) -> None:
-    """Honor a shim/run --expect flag against the primary report digest."""
-    if not getattr(args, "expect", None):
+    """Honor ``run --expect`` against the primary report digest."""
+    if not args.expect:
         return
     primary_kind = PRIMARY_KINDS[kind]
     produced = {type(r).kind: r.digest for r in result.reports}
@@ -592,7 +527,7 @@ def cmd_run(args) -> None:
         raise SystemExit(f"error reading {args.spec}: {err}")
     print(f"spec: kind={spec.kind} digest={spec.digest()[:16]} "
           f"backend={spec.backend}")
-    result = _run_experiment(spec, args, list_only=args.list)
+    result = _run_experiment(spec, args)
     if result is None:
         return
     _check_expect(args, spec.kind, result)
@@ -630,12 +565,12 @@ def cmd_merge(args) -> None:
         _write_json(args.out, merged.to_json(), "merged report")
     if frontier is not None:
         _print_frontier(frontier)
-        if getattr(args, "frontier_out", None):
+        if args.frontier_out:
             _write_json(args.frontier_out, frontier.to_json(), "frontier")
     elif ablation_shaped:
         # A partial merge still writes/prints the recombined report above;
         # only the frontier reduction needs every shard.
-        if getattr(args, "frontier_out", None):
+        if args.frontier_out:
             raise SystemExit(
                 f"error: selection {merged.selection} cannot honor "
                 "--frontier-out — frontier reduction needs full coverage; "
@@ -663,111 +598,8 @@ def _is_ablation_report(report: CampaignReport) -> bool:
     return all(axis in axes for axis in ("pi", "shock", "stage"))
 
 
-# ----------------------------------------------------------------------
-# legacy shims (flag-driven spec construction, same facade)
-# ----------------------------------------------------------------------
-def cmd_campaign(args) -> None:
-    spec = _spec_from_args("campaign", args)
-    result = _run_experiment(spec, args, list_only=args.list)
-    if result is None:
-        return
-    if not result.ok:
-        raise SystemExit(1)
-
-
-def cmd_ablate(args) -> None:
-    spec = _spec_from_args("ablate", args)
-    result = _run_experiment(spec, args, list_only=args.list)
-    if result is None:
-        return
-    if result.frontier is None:
-        if args.expect or args.frontier_out:
-            raise SystemExit(
-                f"error: selection {result.campaign.selection} cannot honor "
-                "--expect/--frontier-out — frontier reduction needs full "
-                "coverage; merge all shards with ablate-merge"
-            )
-        print(
-            f"selection {result.campaign.selection}: frontier reduction "
-            "needs full coverage — merge all shards with ablate-merge"
-        )
-    else:
-        _check_expect(args, "ablate", result)
-    if not result.ok:
-        raise SystemExit(1)
-
-
-def cmd_ablate_refine(args) -> None:
-    if args.from_report:
-        _refine_from_file(args)
-        return
-    spec = _spec_from_args("ablate-refine", args)
-    result = _run_experiment(spec, args, list_only=getattr(args, "list", False))
-    if result is None:
-        return
-    if not result.ok:
-        raise SystemExit(1)
-    _check_expect(args, "ablate-refine", result)
-
-
-def _refine_from_file(args) -> None:
-    """The ``ablate-refine --from FRONTIER.json`` path: refine a loaded
-    lattice instead of running the grid (no spec involved — the loaded
-    frontier fixes the grid)."""
-    overridden = [
-        flag
-        for flag, given in (
-            ("--families", args.families != "all"),
-            ("--premiums", args.premiums is not None),
-            ("--shocks", args.shocks is not None),
-            ("--stages", args.stages is not None),
-            ("--coalitions", args.coalitions),
-            ("--seed", args.seed != 0),
-        )
-        if given
-    ]
-    if overridden:
-        raise SystemExit(
-            f"error: {', '.join(overridden)} cannot be combined with "
-            "--from — the loaded frontier already fixes the grid"
-        )
-    try:
-        with open(args.from_report, "r", encoding="utf-8") as handle:
-            frontier = FrontierReport.from_json(handle.read())
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        raise SystemExit(f"error reading {args.from_report}: {err}")
-    print(f"lattice frontier loaded from {args.from_report}")
-    print(frontier.summary())
-    pool = WorkerPool(workers=args.workers) if args.pooled else None
-    tracer, _ = _obs_from_args(args)
-    try:
-        refined = refine_frontier(
-            frontier,
-            tol=args.tol,
-            backend="process" if args.pooled else "serial",
-            pool=pool,
-            cache=_open_cache(args),
-            tracer=tracer,
-        )
-    except (ValueError, RuntimeError) as err:
-        # RuntimeError: a bisection probe violated a protocol property
-        raise SystemExit(f"error: {err}")
-    finally:
-        if pool is not None:
-            pool.close()
-        if tracer is not None:
-            tracer.close()
-    _print_refined(refined)
-    if args.refined_out:
-        _write_json(args.refined_out, refined.to_json(), "refined frontier")
-    if args.expect and refined.digest != args.expect:
-        raise SystemExit(
-            f"digest mismatch: refined {refined.digest} != expected {args.expect}"
-        )
-
-
 def _tiers_from_args(args) -> tuple[int, ...]:
-    text = getattr(args, "tiers", None)
+    text = args.tiers
     if not text:
         from repro.quote import ALL_TIERS
 
@@ -969,7 +801,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def obs_flags(p):
         """--trace/--progress: the digest-inert telemetry layer, shared
-        by every engine subcommand (spec, run, and shim alike)."""
+        by every engine subcommand."""
         p.add_argument("--trace", default=None, metavar="FILE.jsonl",
                        help="write a JSONL span/counter trace of the run "
                             "(inspect with python -m repro.obs summarize); "
@@ -979,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def exec_flags(p):
         """--backend/--pooled/--workers/--cache: execution layout, shared
-        by every engine subcommand (spec and shim alike)."""
+        by every spec kind."""
         p.add_argument("--backend", choices=["serial", "process"],
                        default="serial")
         p.add_argument("--pooled", action="store_true",
@@ -993,7 +825,7 @@ def build_parser() -> argparse.ArgumentParser:
         obs_flags(p)
 
     def campaign_flags(p):
-        """The campaign matrix/selection flags (spec and shim alike)."""
+        """The campaign matrix/selection flags."""
         p.add_argument(
             "--families",
             default="all",
@@ -1015,7 +847,7 @@ def build_parser() -> argparse.ArgumentParser:
     def ablation_grid_flags(p, shard=True):
         """The shared ablation grid wiring: --premiums/--shocks/--stages/
         --coalitions plus the execution flags — one builder behind
-        ``ablate``, ``ablate-refine``, and their ``spec`` counterparts."""
+        ``spec ablate`` and ``spec ablate-refine``."""
         p.add_argument(
             "--families",
             default="all",
@@ -1052,17 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
     def expect_flag(p, what: str):
         p.add_argument("--expect", default=None, metavar="DIGEST",
                        help=f"exit non-zero unless the {what} digest matches")
-
-    def merge_flags(p):
-        p.add_argument("reports", nargs="+", metavar="REPORT.json",
-                       help="shard reports written with --out")
-        p.add_argument("--out", default=None, metavar="PATH",
-                       help="write the merged campaign report as JSON")
-        p.add_argument("--frontier-out", default=None, metavar="PATH",
-                       help="write the reduced frontier as JSON "
-                            "(ablation-shaped merges only)")
-        expect_flag(p, "merged primary (run or frontier)")
-        p.set_defaults(func=cmd_merge)
 
     # ------------------------------------------------------------------
     # spec workflow: spec / run / merge
@@ -1111,48 +932,15 @@ def build_parser() -> argparse.ArgumentParser:
         "merge",
         help="kind-aware merge of shard reports (campaign or ablation)",
     )
-    merge_flags(p)
-
-    # ------------------------------------------------------------------
-    # legacy shims: flag-driven specs through the same facade
-    # ------------------------------------------------------------------
-    p = sub.add_parser("campaign", help="batched adversarial scenario matrix")
-    campaign_flags(p)
+    p.add_argument("reports", nargs="+", metavar="REPORT.json",
+                   help="shard reports written with run --out")
     p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the report as JSON (for merge)")
-    p.add_argument("--list", action="store_true",
-                   help="print the matrix breakdown and exit")
-    p.set_defaults(func=cmd_campaign)
-
-    p = sub.add_parser(
-        "ablate",
-        help="map the rational-adversary deviation-profitability frontier",
-    )
-    ablation_grid_flags(p)
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the campaign report as JSON (for merge)")
+                   help="write the merged campaign report as JSON")
     p.add_argument("--frontier-out", default=None, metavar="PATH",
-                   help="write the reduced frontier as JSON")
-    expect_flag(p, "frontier")
-    p.add_argument("--list", action="store_true",
-                   help="print the grid breakdown and exit")
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser(
-        "ablate-refine",
-        help="bisect the frontier between lattice points to a continuous pi*",
-    )
-    ablation_grid_flags(p, shard=False)
-    refine_flags(p)
-    p.add_argument("--from", dest="from_report", default=None,
-                   metavar="FRONTIER.json",
-                   help="refine an existing frontier (written by ablate "
-                        "--frontier-out or merge) instead of running the "
-                        "lattice grid")
-    p.add_argument("--refined-out", default=None, metavar="PATH",
-                   help="write the refined frontier as JSON")
-    expect_flag(p, "refined")
-    p.set_defaults(func=cmd_ablate_refine)
+                   help="write the reduced frontier as JSON "
+                        "(ablation-shaped merges only)")
+    expect_flag(p, "merged primary (run or frontier)")
+    p.set_defaults(func=cmd_merge)
 
     # ------------------------------------------------------------------
     # the premium-quoting service
@@ -1213,19 +1001,6 @@ def build_parser() -> argparse.ArgumentParser:
     expect_flag(p, "batch")
     p.set_defaults(func=cmd_quote_batch)
 
-    p = sub.add_parser(
-        "ablate-merge",
-        help="merge sharded ablation reports and reduce the frontier "
-             "(alias of merge)",
-    )
-    merge_flags(p)
-
-    p = sub.add_parser(
-        "campaign-merge",
-        help="merge sharded campaign reports into one run digest "
-             "(alias of merge)",
-    )
-    merge_flags(p)
     return parser
 
 

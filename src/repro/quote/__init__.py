@@ -12,11 +12,6 @@ traced-equals-untraced byte-identity discipline as every other artifact
 in the tree.
 """
 
-from repro.quote.analytic import (
-    analytic_pi_star_hint,
-    graph_pivot,
-    graph_stake_slope,
-)
 from repro.quote.batch import batch_cells, batch_digest, quote_batch
 from repro.quote.engine import ALL_TIERS, QuoteEngine
 from repro.quote.quote import (
@@ -37,12 +32,9 @@ __all__ = [
     "QuoteError",
     "QuoteRequest",
     "ScheduleEntry",
-    "analytic_pi_star_hint",
     "batch_cells",
     "batch_digest",
     "deposit_schedule",
-    "graph_pivot",
-    "graph_stake_slope",
     "quote_batch",
     "quote_for",
     "schedule_entry_from_payload",

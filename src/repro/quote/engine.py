@@ -4,8 +4,8 @@ One question-shaped entry point — :meth:`QuoteEngine.quote` — behind a
 ladder of progressively more expensive answer paths:
 
 - **tier 1, closed forms** (µs–ms): the §5.2 families at their named
-  stages have exact analytic π* (:func:`~repro.campaign.ablation.grid.
-  closed_form_pi_star` and its coalition variant); a ``pre-stake`` shock
+  stages have exact analytic π* (:meth:`~repro.campaign.ablation.
+  registry.Family.pi_star`); a ``pre-stake`` shock
   finds nothing staked, so no premium deters and the quote is the
   un-hedgeable verdict without measuring anything.
 - **tier 2, row lookup** (ms): a content-addressed read of one refined
@@ -15,7 +15,7 @@ ladder of progressively more expensive answer paths:
   the probe-block cache.
 - **tier 3, measurement** (s): synthesize a narrow single-cell
   ``ablate-refine`` :class:`~repro.campaign.experiment.ExperimentSpec`
-  (kernel engine, bisection bracket centered on the analytic hint) and
+  (kernel engine, bisection bracket centered on the closed form) and
   run it through the experiment facade, which stores the refined rows
   back — so the *second* identical quote is a tier-2 hit.
 
@@ -30,18 +30,12 @@ from __future__ import annotations
 
 import time
 
-from repro.campaign.ablation.grid import (
-    ABLATION_FAMILIES,
-    closed_form_coalition_pi_star,
-    closed_form_pi_star,
-    premium_base,
-)
 from repro.campaign.ablation.refine import EXPAND_CEILING
+from repro.campaign.ablation.registry import resolve_family
 from repro.campaign.ablation.rowstore import load_row, row_descriptor
 from repro.campaign.cache import ResultCache
 from repro.obs import maybe_inc, maybe_span
 
-from repro.quote.analytic import analytic_pi_star_hint
 from repro.quote.quote import Quote, quote_for
 from repro.quote.request import QuoteError, QuoteRequest
 from repro.quote.schedule import deposit_schedule
@@ -49,8 +43,8 @@ from repro.quote.schedule import deposit_schedule
 #: the tier ladder a quote descends by default: cheapest answer first.
 ALL_TIERS = (1, 2, 3)
 
-#: the tier-3 bracket's fallback upper probe when no analytic hint
-#: exists: one lattice step above the default grid's densest band.
+#: the tier-3 bracket's fallback upper probe when no closed form exists:
+#: one lattice step above the default grid's densest band.
 FALLBACK_HI = 0.08
 
 
@@ -134,7 +128,7 @@ class QuoteEngine:
         quote = quote_for(
             request,
             pi_star=pi_star,
-            base=premium_base(request.cell_family),
+            base=resolve_family(request.cell_family).premium_base,
             provenance=provenance,
             tier=tier,
         )
@@ -167,28 +161,22 @@ class QuoteEngine:
     # ------------------------------------------------------------------
     def _tier1(self, request: QuoteRequest):
         family = request.cell_family
-        if family not in ABLATION_FAMILIES:
+        entry = resolve_family(family)
+        if not entry.exact:
             return None
+        label = request.coalition or "pivot"
         with maybe_span(self.tracer, "quote.tier1", family=family):
             if request.stage == "pre-stake":
                 # Nothing is staked yet, so walking forfeits nothing:
                 # no premium deters, at any shock — the analytic
                 # un-hedgeable verdict (measured by test_quote_parity).
-                label = request.coalition or "pivot"
                 return None, f"closed-form|{family}|{label}|pre-stake"
             if request.stage != "staked":
                 # round:K stages sit between the closed forms' anchor
                 # points; only measurement answers them.
                 return None
-            if request.coalition:
-                pi_star = closed_form_coalition_pi_star(
-                    family, request.coalition, request.shock
-                )
-                return pi_star, (
-                    f"closed-form|{family}|{request.coalition}"
-                )
-            pi_star = closed_form_pi_star(family, request.shock)
-            return pi_star, f"closed-form|{family}|pivot"
+            pi_star = entry.pi_star(request.shock, request.coalition)
+            return pi_star, f"closed-form|{family}|{label}"
 
     # ------------------------------------------------------------------
     # tier 2: content-addressed row lookup
@@ -209,24 +197,16 @@ class QuoteEngine:
     def _bracket_hi(self, request: QuoteRequest) -> float:
         """The upper lattice probe tier 3 brackets with.
 
-        Centered on the best analytic estimate — the closed form for
-        named families, the stake-slope hint for graphs — doubled so the
-        true boundary lands inside the bracket even when quantization
-        pushes it above the estimate.  Without a hint (round:K stages,
-        coalitions), the default-grid ceiling; the refinement's upward
-        doubling covers anything beyond either choice.
+        Centered on the registry's closed form (exact for named families,
+        an estimate for graphs) — doubled so the true boundary lands
+        inside the bracket even when quantization pushes it above the
+        estimate.  Without one (un-hedgeable pivot sets), the default-grid
+        ceiling; the refinement's upward doubling covers anything beyond
+        either choice.
         """
-        family = request.cell_family
-        hint = None
-        if family in ABLATION_FAMILIES:
-            if request.coalition:
-                hint = closed_form_coalition_pi_star(
-                    family, request.coalition, request.shock
-                )
-            else:
-                hint = closed_form_pi_star(family, request.shock)
-        else:
-            hint = analytic_pi_star_hint(family, request.shock)
+        hint = resolve_family(request.cell_family).pi_star(
+            request.shock, request.coalition
+        )
         if hint is None or hint <= 0:
             return FALLBACK_HI
         return min(EXPAND_CEILING, max(0.04, 2.0 * hint))

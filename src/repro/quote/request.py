@@ -14,15 +14,14 @@ digest so an edited request can never masquerade as the original.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from hashlib import sha256
 
-from repro.campaign.ablation.grid import (
-    ABLATION_COALITIONS,
-    ABLATION_FAMILIES,
-    STAGE_ALL,
+from repro.campaign.ablation.grid import STAGE_ALL, valid_stage
+from repro.campaign.ablation.registry import (
+    FAMILIES,
+    NAMED_GRAPHS,
     is_graph_family,
-    valid_stage,
 )
 from repro.campaign.ablation.refine import DEFAULT_TOL
 from repro.campaign.canon import canon_float
@@ -63,14 +62,14 @@ class QuoteRequest:
         if bool(self.family) == bool(self.graph):
             raise QuoteError(
                 "a quote request names exactly one of family= "
-                f"(one of {list(ABLATION_FAMILIES)}) and graph= "
+                f"(one of {list(FAMILIES)}) and graph= "
                 "(ring:N, complete:N, figure3); got "
                 f"family={self.family!r}, graph={self.graph!r}"
             )
-        if self.family and self.family not in ABLATION_FAMILIES:
+        if self.family and self.family not in FAMILIES:
             raise QuoteError(
                 f"unknown family {self.family!r}; known: "
-                f"{list(ABLATION_FAMILIES)} (graph-shaped deals go "
+                f"{list(FAMILIES)} (graph-shaped deals go "
                 "through graph=)"
             )
         if self.graph and not is_graph_family(self.graph):
@@ -84,7 +83,7 @@ class QuoteRequest:
                     "coalitions are named per family; graph-shaped deals "
                     "have no named coalitions"
                 )
-            known = ABLATION_COALITIONS.get(self.family, ())
+            known = FAMILIES[self.family].coalitions
             if self.coalition not in known:
                 raise QuoteError(
                     f"unknown coalition {self.coalition!r} for family "
@@ -112,11 +111,7 @@ class QuoteRequest:
         same canonical leader), so it normalizes to ``multi-party`` and
         rides the closed-form tier; every other graph names itself.
         """
-        if self.family:
-            return self.family
-        if self.graph == "ring:3":
-            return "multi-party"
-        return self.graph
+        return self.family or NAMED_GRAPHS.get(self.graph, self.graph)
 
     # ------------------------------------------------------------------
     # identity / serialization
@@ -151,6 +146,23 @@ class QuoteRequest:
             data = json.loads(text)
         except json.JSONDecodeError as err:
             raise QuoteError(f"not a JSON quote request: {err}")
+        if not isinstance(data, dict):
+            raise QuoteError(
+                f"a quote request is a JSON object, got {type(data).__name__}"
+            )
+        known = {field.name for field in fields(cls)} | {"digest"}
+        unknown = sorted(set(data) - known)
+        if unknown:
+            raise QuoteError(
+                f"unknown quote-request fields {unknown}; known: {sorted(known)}"
+            )
+        seed = data.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise QuoteError(f"seed must be an integer, got {seed!r}")
+        for key in ("shock", "tol"):
+            value = data.get(key, 0.0)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise QuoteError(f"{key} must be a number, got {value!r}")
         try:
             request = cls(
                 family=data.get("family", ""),
@@ -159,7 +171,7 @@ class QuoteRequest:
                 shock=data.get("shock", DEFAULT_SHOCK),
                 stage=data.get("stage", "staked"),
                 tol=data.get("tol", DEFAULT_TOL),
-                seed=data.get("seed", 0),
+                seed=seed,
             )
         except QuoteError:
             raise

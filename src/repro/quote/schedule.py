@@ -1,135 +1,29 @@
 """Per-arc deposit schedules: Equations 1–2 rendered as ledger entries.
 
 Given the deal shape and an integer premium, this module prices every
-deposit the hedged protocol requires: escrow premiums (Equation 2,
-forward from the leaders) and redemption premiums (Equation 1, backward
-along leader-to-beneficiary paths, with the broker's contract-sharing
-pruning where the deal defines it).  The output is a flat, sorted tuple
-of :class:`~repro.quote.quote.ScheduleEntry` — the part of a quote a
+deposit the hedged protocol requires: flat per-arc tables (escrow
+premiums by Equation 2, the broker's trading premiums, the auctioneer's
+per-bid premium) and redemption premiums (Equation 1, backward along
+leader-to-beneficiary paths, with the broker's contract-sharing pruning
+where the deal defines it).  The output is a flat, sorted tuple of
+:class:`~repro.quote.quote.ScheduleEntry` — the part of a quote a
 counterparty actually signs.
 
-Every family quotes through the same two recurrences; only the digraph
-and leader set differ:
-
-- ``two-party`` is the 2-ring with ``P0`` leading,
-- ``multi-party`` is the 3-ring with ``P0`` leading (the §5.2 cell),
-- graph-shaped deals (``ring:N``, ``complete:N``, ``figure3``) parse
-  through the ablation grid's :func:`~repro.campaign.ablation.grid.
-  parse_graph_family`,
-- ``broker`` adds the trading-premium table and prunes per hosting
-  contract (§8.1),
-- ``auction`` is the degenerate case: the auctioneer deposits the flat
-  premium into each bidder's contract (§9.2).
+The deal shape comes from the family's registry entry
+(:meth:`~repro.campaign.ablation.registry.Family.deal_shape`):
+``two-party`` is the 2-ring and ``multi-party`` the 3-ring with ``P0``
+leading, graph-shaped deals are their own digraph, ``broker`` adds the
+trading table and prunes per hosting contract (§8.1), and ``auction`` is
+the degenerate case of one flat table (§9.2).
 """
 
 from __future__ import annotations
 
-from repro.campaign.ablation.grid import parse_graph_family
-from repro.core.hedged_auction import AuctionSpec
-from repro.core.hedged_broker import broker_premium_tables
-from repro.core.premiums import (
-    escrow_premium_amounts,
-    redemption_premium_flow,
-)
-from repro.graph.digraph import SwapGraph, ring_graph
-from repro.protocols.base_broker import BrokerSpec
+from repro.campaign.ablation.registry import resolve_family
+from repro.core.premiums import redemption_premium_flow
 
 from repro.quote.quote import ScheduleEntry
 from repro.quote.request import QuoteError
-
-
-def _graph_entries(
-    graph: SwapGraph,
-    leaders: tuple[str, ...],
-    premium: int,
-    contract_of=None,
-) -> list[ScheduleEntry]:
-    """Escrow + redemption entries for one digraph under Equations 1–2."""
-    entries: list[ScheduleEntry] = []
-    for arc, amount in sorted(
-        escrow_premium_amounts(graph, leaders, premium).items()
-    ):
-        if amount == 0:
-            continue
-        entries.append(
-            ScheduleEntry(
-                kind="escrow",
-                depositor=arc[0],
-                arc=arc,
-                round=0,
-                amount=amount,
-            )
-        )
-    flow = redemption_premium_flow(graph, leaders, premium, contract_of)
-    for deposit in sorted(flow, key=lambda d: (d.round, d.leader, d.arc)):
-        if deposit.amount == 0:
-            continue
-        entries.append(
-            ScheduleEntry(
-                kind="redemption",
-                depositor=deposit.depositor,
-                arc=deposit.arc,
-                round=deposit.round,
-                amount=deposit.amount,
-                path=deposit.path,
-            )
-        )
-    return entries
-
-
-def _broker_entries(premium: int) -> list[ScheduleEntry]:
-    """The three-party deal: trading + escrow tables, pruned redemptions."""
-    spec = BrokerSpec()
-    tables = broker_premium_tables(spec, premium)
-    entries: list[ScheduleEntry] = []
-    for kind in ("trading", "escrow"):
-        for arc, amount in sorted(tables[kind].items()):
-            if amount == 0:
-                continue
-            entries.append(
-                ScheduleEntry(
-                    kind=kind,
-                    depositor=arc[0],
-                    arc=arc,
-                    round=0,
-                    amount=amount,
-                )
-            )
-    flow = redemption_premium_flow(
-        spec.graph(),
-        (spec.broker, spec.seller, spec.buyer),
-        premium,
-        tables["contract_of"],
-    )
-    for deposit in sorted(flow, key=lambda d: (d.round, d.leader, d.arc)):
-        if deposit.amount == 0:
-            continue
-        entries.append(
-            ScheduleEntry(
-                kind="redemption",
-                depositor=deposit.depositor,
-                arc=deposit.arc,
-                round=deposit.round,
-                amount=deposit.amount,
-                path=deposit.path,
-            )
-        )
-    return entries
-
-
-def _auction_entries(premium: int) -> list[ScheduleEntry]:
-    """§9.2: the auctioneer posts the flat premium on every bid contract."""
-    spec = AuctionSpec()
-    return [
-        ScheduleEntry(
-            kind="escrow",
-            depositor=spec.auctioneer,
-            arc=(spec.auctioneer, bidder),
-            round=0,
-            amount=premium,
-        )
-        for bidder in sorted(spec.bidders)
-    ]
 
 
 def deposit_schedule(family: str, premium: int) -> tuple[ScheduleEntry, ...]:
@@ -143,16 +37,33 @@ def deposit_schedule(family: str, premium: int) -> tuple[ScheduleEntry, ...]:
         raise QuoteError(f"premium must be non-negative, got {premium}")
     if premium == 0:
         return ()
-    if family == "two-party":
-        return tuple(_graph_entries(ring_graph(2), ("P0",), premium))
-    if family == "multi-party":
-        return tuple(_graph_entries(ring_graph(3), ("P0",), premium))
-    if family == "broker":
-        return tuple(_broker_entries(premium))
-    if family == "auction":
-        return tuple(_auction_entries(premium))
-    parsed = parse_graph_family(family)
-    if parsed is None:
-        raise QuoteError(f"no deposit schedule for family {family!r}")
-    graph, leaders = parsed
-    return tuple(_graph_entries(graph, leaders, premium))
+    try:
+        entry = resolve_family(family)
+    except ValueError:
+        raise QuoteError(f"no deposit schedule for family {family!r}") from None
+    shape = entry.deal_shape(premium)
+    entries = [
+        ScheduleEntry(
+            kind=kind, depositor=arc[0], arc=arc, round=0, amount=amount
+        )
+        for kind, table in shape.tables
+        for arc, amount in sorted(table.items())
+        if amount != 0
+    ]
+    if shape.graph is not None:
+        flow = redemption_premium_flow(
+            shape.graph, shape.leaders, premium, shape.contract_of
+        )
+        entries += [
+            ScheduleEntry(
+                kind="redemption",
+                depositor=deposit.depositor,
+                arc=deposit.arc,
+                round=deposit.round,
+                amount=deposit.amount,
+                path=deposit.path,
+            )
+            for deposit in sorted(flow, key=lambda d: (d.round, d.leader, d.arc))
+            if deposit.amount != 0
+        ]
+    return tuple(entries)

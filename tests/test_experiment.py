@@ -5,12 +5,11 @@ Pins:
 - **spec round-trips**: JSON round-trip with digest stamping, tamper
   detection on edited specs, and a digest that covers exactly the
   result-determining fields (backend/workers/expect excluded),
-- **spec-vs-flag equivalence** (acceptance criterion): for each legacy
-  subcommand the spec-driven run reproduces the flag-driven run digest
-  byte-identically,
+- **spec-vs-matrix equivalence**: the CLI spec-driven run reproduces the
+  digest of the directly built matrix byte-identically,
 - **Report protocol**: ``kind`` dispatch in ``report_from_json`` for all
-  three report kinds, tamper detection on the envelope kind, legacy
-  (kind-less) payload inference, and kind-aware merge dispatch,
+  three report kinds, tamper detection on the envelope kind, and
+  kind-aware merge dispatch,
 - **incremental result cache**: a warm re-run reports a nonzero hit-rate
   with an unchanged digest, refinement probes hit the store a lattice run
   warmed, and the cache refuses matrices without a rebuild spec.
@@ -219,12 +218,6 @@ def test_report_kind_tamper_and_inference():
             json.dumps({**json.loads(result.frontier.to_json()),
                         "kind": "refined-frontier"})
         )
-    # files written before the protocol carry no kind: shape inference
-    for report in (result.campaign, result.frontier):
-        legacy = json.loads(report.to_json())
-        del legacy["kind"]
-        restored = report_from_json(json.dumps(legacy))
-        assert restored.digest == report.digest
     with pytest.raises(ValueError, match="not a recognizable report"):
         report_from_json(json.dumps({"hello": "world"}))
 
@@ -342,12 +335,14 @@ def test_cli_unified_merge_is_kind_aware(tmp_path, capsys):
 
     reference = reduce_frontier(CampaignRunner(grid_matrix()).run())
     for i in (1, 2):
+        spec_path = tmp_path / f"spec{i}.json"
         main([
-            "ablate", "--families", "two-party",
+            "spec", "ablate", "--families", "two-party",
             "--premiums", "0,0.02,0.05", "--shocks", "0.045",
             "--stages", "staked", "--shard", f"{i}/2",
-            "--out", str(tmp_path / f"s{i}.json"),
+            "--out", str(spec_path),
         ])
+        main(["run", str(spec_path), "--out", str(tmp_path / f"s{i}.json")])
     capsys.readouterr()
     main([
         "merge", str(tmp_path / "s1.json"), str(tmp_path / "s2.json"),

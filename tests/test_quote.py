@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from repro.campaign.ablation.grid import closed_form_pi_star, parse_graph_family
+from repro.campaign.ablation import closed_form_pi_star, parse_graph_family
 from repro.campaign.ablation.refine import DEFAULT_TOL
 from repro.campaign.ablation.rowstore import (
     load_row,
@@ -98,6 +98,19 @@ class TestQuoteRequest:
         tampered["shock"] = 0.07
         with pytest.raises(QuoteError):
             QuoteRequest.from_json(json.dumps(tampered))
+        # strict admission: non-objects, unknown keys, and mistyped
+        # seed/shock/tol are refused rather than coerced or defaulted
+        for bad in (
+            [1],
+            "two-party",
+            {"family": "two-party", "shok": 0.2},
+            {"family": "two-party", "seed": 1.5},
+            {"family": "two-party", "seed": True},
+            {"family": "two-party", "shock": "0.2"},
+            {"family": "two-party", "tol": None},
+        ):
+            with pytest.raises(QuoteError):
+                QuoteRequest.from_json(json.dumps(bad))
 
 
 # ----------------------------------------------------------------------

@@ -5,15 +5,19 @@ the narrow measurement fallback (tier 3) are three routes to one number;
 these tests pin that they agree within the request tolerance for every
 named family and both named coalitions — and that the broker's
 seller+buyer pair reads un-hedgeable on every route.  Graph-shaped deals
-have no closed form, so tier 3 is checked against the analytic
-stake-slope hint instead.
+have no exact closed form, so tier 3 is checked against the same
+formula's stake-slope estimate instead.
 """
 
 import pytest
 
-from repro.campaign.ablation.grid import ABLATION_COALITIONS, ABLATION_FAMILIES
+from repro.campaign.ablation.grid import (
+    ABLATION_COALITIONS,
+    ABLATION_FAMILIES,
+    closed_form_pi_star,
+)
 from repro.campaign.cache import ResultCache
-from repro.quote import QuoteEngine, QuoteRequest, analytic_pi_star_hint
+from repro.quote import QuoteEngine, QuoteRequest
 
 PARITY_CELLS = [(family, "") for family in ABLATION_FAMILIES] + [
     (family, coalition)
@@ -60,10 +64,10 @@ def test_broker_seller_buyer_unhedgeable_on_every_tier(warm_engine):
 
 
 def test_graph_measurement_tracks_analytic_hint(warm_engine):
-    """ring:4 has no closed form; the measured tier-3 answer must sit
+    """ring:4 has no exact closed form; the measured tier-3 answer must sit
     within tolerance of the stake-slope estimate."""
     request = QuoteRequest(graph="ring:4")
-    hint = analytic_pi_star_hint("ring:4", request.shock)
+    hint = closed_form_pi_star("ring:4", request.shock)
     measured = warm_engine.quote(request, tiers=(3,))
     assert measured.pi_star is not None
     assert abs(measured.pi_star - hint) <= request.tol
