@@ -8,10 +8,11 @@ reproducibility digest.  The digests MUST match across backends —
 scenario execution is deterministic and order-preserving regardless of
 process layout.
 
-The pool-reuse table runs back-to-back campaigns two ways — forking a
-fresh pool per run versus dispatching through one persistent
-:class:`WorkerPool` — and must show reuse winning: the fork/teardown tax
-is paid once instead of per run.
+The pool-reuse table runs back-to-back campaigns two ways — a fresh
+pool per run (the one-shot :class:`WorkerPool` a ``backend="process"``
+runner opens and closes itself) versus dispatching through one
+persistent :class:`WorkerPool` — and must show reuse winning: the
+fork/teardown tax is paid once instead of per run.
 
 The cache table (EXP-C3) runs the same spec cold and then warm through
 the incremental result cache: the warm run must report a 100% hit-rate,
@@ -96,7 +97,7 @@ def generate_campaign_table():
 
 
 def generate_pool_reuse_table():
-    """Fresh pool per run vs one persistent pool, back to back."""
+    """One-shot pool per run vs one persistent pool, back to back."""
     start = time.perf_counter()
     fresh = [
         CampaignRunner(default_matrix(families=REUSE_FAMILIES), backend="process").run()

@@ -50,8 +50,8 @@ def main() -> None:
     print(f"matrix: factory={spec.matrix.factory!r} "
           f"({len(dict(spec.matrix.kwargs))} grid knobs)")
     print(f"digest: {spec.digest()}")
-    print("the digest covers only what determines results — a pooled or")
-    print("sharded-execution variant of this spec shares the identity.")
+    print("the digest covers only what determines results — a process-")
+    print("backend or sharded variant of this spec shares the identity.")
     print()
 
     print("=== cold run: facade dispatch + cache population ===")

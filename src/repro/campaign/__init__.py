@@ -11,13 +11,14 @@ point" claim into something executable at thousands-of-scenarios scale.
   (protocol family × premium/timeout schedule × adversary subset × named
   strategy × deviation round) into scenario specs in a deterministic order,
 - :mod:`repro.campaign.runner` — :class:`CampaignRunner` executes a matrix
-  (or one ``shard=(i, n)`` slice of it) through a pluggable serial or
-  ``multiprocessing`` backend and aggregates per-axis violation counts,
+  (or one ``shard=(i, n)`` slice of it) through a pluggable serial,
+  kernel or process backend and aggregates per-axis violation counts,
   payoff distributions, throughput, and a reproducible run digest whose
   preamble records the effective selection; :func:`merge_reports`
   recombines shard reports into the byte-identical unsharded digest,
-- :mod:`repro.campaign.pool` — :class:`WorkerPool`, a persistent fork pool
-  shared across runs, fed by picklable :class:`MatrixSpec` rebuild recipes,
+- :mod:`repro.campaign.pool` — :class:`WorkerPool`, the one fork pool
+  behind every process run (one-shot, or persistent and shared across
+  runs, fed by picklable :class:`MatrixSpec` rebuild recipes),
 - :mod:`repro.campaign.families` — the registry of protocol families
   (two-party, multi-party, broker, auction, sealed-auction, bootstrap)
   with their default adversary spaces and premium/timeout/graph schedules;

@@ -38,7 +38,7 @@ statement of the paper's model.
 **Digest rules.**  The frontier digest hashes the underlying campaign
 ``run_digest`` (which already binds the matrix identity and the effective
 limit/shard selection) plus coverage and every cell in canonical order.
-Serial, pooled, and sharded-then-merged runs of the same grid therefore
+Serial, process, and sharded-then-merged runs of the same grid therefore
 produce byte-identical frontier digests, and a partial run can never
 masquerade as full coverage.
 """

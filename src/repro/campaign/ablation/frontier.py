@@ -26,7 +26,7 @@ Digest rules: the frontier digest hashes a preamble naming the underlying
 run digest and coverage, then every row and cell in canonical order —
 coalition rows included.  The run digest already folds in the matrix
 identity and the effective selection, so a frontier from a partial run can
-never collide with one from full coverage, and serial/pooled/sharded-then-
+never collide with one from full coverage, and serial/process/sharded-then-
 merged runs of the same grid yield byte-identical frontier digests.  All
 float fields pass through :func:`repro.campaign.canon.canon_float`, so a
 bisected premium deserialized on another host hashes identically.

@@ -42,8 +42,9 @@ tolerance, and — per row — the bracket endpoints plus every probe cell's
 outcome *and* the probe campaign's own run digest.  Bisection is
 deterministic (same bracket → same midpoints → same probe matrices), and
 probe run digests are backend-independent, so a refined frontier is
-byte-identical whether the lattice came from a serial, pooled, or
-sharded-then-merged run and whether the probes ran serially or pooled.
+byte-identical whether the lattice came from a serial, process, or
+sharded-then-merged run and whether the probes ran serially or on a
+worker pool.
 """
 
 from __future__ import annotations
@@ -317,23 +318,24 @@ def _with_digest(report: RefinedFrontierReport) -> RefinedFrontierReport:
 
 
 class _CellProber:
-    """Runs single ablation cells through the configured backend.
+    """Runs single ablation cells serially, on a pool, or on the kernels.
 
     ``cache`` is the incremental result cache: each probe cell is one
     matrix block, so a warm refinement (or one following a lattice run
     that already executed the same cells) serves probes straight from the
     store.  ``cache_hits`` counts the scenarios so served.
 
-    With ``backend="kernel"`` (or a caller-supplied ``kernel`` engine)
-    probes run through the vectorized payoff kernels; one engine is
-    shared across every probe, so the cell-template calibration cost is
-    paid once per ``(family, coalition, premium)`` even though bisection
-    probes arrive one premium at a time.
+    A ``kernel`` engine runs probes through the vectorized payoff
+    kernels; one engine is shared across every probe, so the
+    cell-template calibration cost is paid once per
+    ``(family, coalition, premium)`` even though bisection probes arrive
+    one premium at a time.  Otherwise a ``pool`` (a
+    :class:`~repro.campaign.pool.WorkerPool`) runs them on its workers,
+    and without either they run serially.
     """
 
     def __init__(
         self,
-        backend: str = "serial",
         pool=None,
         seed: int = 0,
         cache=None,
@@ -342,16 +344,13 @@ class _CellProber:
     ) -> None:
         from repro.campaign.runner import CampaignRunner
 
-        if pool is not None:
-            backend = "process"
-        if kernel is not None:
-            backend = "kernel"
-        elif backend == "kernel":
-            from repro.campaign.ablation.kernels import KernelEngine
-
-            kernel = KernelEngine(tracer=tracer)
         self._runner_cls = CampaignRunner
-        self.backend = backend
+        if kernel is not None:
+            self.backend = "kernel"
+        elif pool is not None:
+            self.backend = "process"
+        else:
+            self.backend = "serial"
         self.pool = pool
         self.seed = seed
         self.cache = cache
@@ -479,7 +478,6 @@ def refine_row(
 def refine_frontier(
     frontier: FrontierReport,
     tol: float = DEFAULT_TOL,
-    backend: str = "serial",
     pool=None,
     seed: int = 0,
     max_iterations: int = MAX_ITERATIONS,
@@ -507,9 +505,7 @@ def refine_frontier(
             f"first (got {frontier.scenarios}/{frontier.total_scenarios})"
         )
     if prober is None:
-        prober = _CellProber(
-            backend=backend, pool=pool, seed=seed, cache=cache, tracer=tracer
-        )
+        prober = _CellProber(pool=pool, seed=seed, cache=cache, tracer=tracer)
     rows = [
         refine_row(row, prober, canon_float(tol), max_iterations)
         for row in (*frontier.rows, *frontier.coalition_rows)

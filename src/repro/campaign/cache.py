@@ -204,82 +204,12 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def get(self, key: str, size: int) -> list[ScenarioResult] | None:
-        """The cached results (block-local indices), or None on any miss.
+    def _read(self, key: str) -> "dict | None":
+        """The raw entry object under ``key``, or None on a counted miss.
 
-        A malformed entry, a key mismatch, a size mismatch, or an entry
-        recording a violation all read as misses — the cache only ever
-        short-circuits work it can vouch for.  The stored ``"key"`` field
-        must equal the requested key: a copied or renamed entry file would
-        otherwise be served under an address its contents never earned.
-        """
-        try:
-            with open(self._path(key), "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except FileNotFoundError:
-            self._count("cache.miss.absent")
-            return None
-        except (OSError, ValueError):
-            self._count("cache.miss.corrupt")
-            return None
-        try:
-            if data.get("key") != key:
-                self._count("cache.miss.corrupt")
-                return None
-            results = [result_from_payload(r) for r in data["results"]]
-        except (ValueError, KeyError, TypeError):
-            self._count("cache.miss.corrupt")
-            return None
-        if len(results) != size:
-            self._count("cache.miss.corrupt")
-            return None
-        if any(result.violations for result in results):
-            self._count("cache.miss.violating")
-            return None
-        self._count("cache.hit")
-        return results
-
-    def put(self, key: str, results: list[ScenarioResult]) -> bool:
-        """Store one fully-verified block; returns False when ineligible.
-
-        Blocks with violations are never stored (see the module doc).  The
-        write is atomic so concurrent campaigns sharing a cache root can
-        only ever observe complete entries.
-        """
-        if any(result.violations for result in results):
-            self._count("cache.store.skipped")
-            return False
-        payload = json.dumps(
-            {"key": key, "results": [result_payload(r) for r in results]},
-            indent=None,
-            separators=(",", ":"),
-        )
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp, self._path(key))
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            self._count("cache.store.skipped")
-            return False
-        self._count("cache.store")
-        return True
-
-    # ------------------------------------------------------------------
-    # generic JSON entries (refined-row store, future derived artifacts)
-    # ------------------------------------------------------------------
-    def get_entry(self, key: str) -> "dict | None":
-        """A generic JSON payload stored under ``key``, or None on a miss.
-
-        Same miss discipline as :meth:`get`: malformed entries and
-        key mismatches read as misses, never errors — a derived-artifact
-        store can only ever short-circuit work it can vouch for.
+        One open and one JSON pass.  The stored ``"key"`` field must equal
+        the requested key: a copied or renamed entry file would otherwise
+        be served under an address its contents never earned.
         """
         try:
             with open(self._path(key), "r", encoding="utf-8") as handle:
@@ -293,21 +223,15 @@ class ResultCache:
         if not isinstance(data, dict) or data.get("key") != key:
             self._count("cache.miss.corrupt")
             return None
-        payload = data.get("payload")
-        if not isinstance(payload, dict):
-            self._count("cache.miss.corrupt")
-            return None
-        self._count("cache.hit")
-        return payload
+        return data
 
-    def put_entry(self, key: str, payload: dict) -> bool:
-        """Store a generic JSON payload under ``key`` (atomic write)."""
-        text = json.dumps(
-            {"key": key, "payload": payload},
-            indent=None,
-            separators=(",", ":"),
-            sort_keys=True,
-        )
+    def _write(self, key: str, text: str) -> bool:
+        """Publish ``text`` as the entry under ``key``: temp file + rename.
+
+        The rename is atomic, so concurrent writers sharing a cache root
+        leave readers only ever observing complete entries; a failed
+        write removes its temp file and counts a skipped store.
+        """
         fd, tmp = tempfile.mkstemp(
             dir=self.root, prefix=".tmp-", suffix=".json"
         )
@@ -324,6 +248,79 @@ class ResultCache:
             return False
         self._count("cache.store")
         return True
+
+    def get(self, key: str, size: int) -> list[ScenarioResult] | None:
+        """The cached results (block-local indices), or None on any miss.
+
+        A malformed entry, a key mismatch, a size mismatch, or an entry
+        recording a violation all read as misses — the cache only ever
+        short-circuits work it can vouch for.
+        """
+        data = self._read(key)
+        if data is None:
+            return None
+        try:
+            results = [result_from_payload(r) for r in data["results"]]
+        except (ValueError, KeyError, TypeError):
+            self._count("cache.miss.corrupt")
+            return None
+        if len(results) != size:
+            self._count("cache.miss.corrupt")
+            return None
+        if any(result.violations for result in results):
+            self._count("cache.miss.violating")
+            return None
+        self._count("cache.hit")
+        return results
+
+    def put(self, key: str, results: list[ScenarioResult]) -> bool:
+        """Store one fully-verified block; returns False when ineligible.
+
+        Blocks with violations are never stored (see the module doc).
+        """
+        if any(result.violations for result in results):
+            self._count("cache.store.skipped")
+            return False
+        return self._write(
+            key,
+            json.dumps(
+                {"key": key, "results": [result_payload(r) for r in results]},
+                indent=None,
+                separators=(",", ":"),
+            ),
+        )
+
+    # ------------------------------------------------------------------
+    # generic JSON entries (refined-row store, future derived artifacts)
+    # ------------------------------------------------------------------
+    def get_entry(self, key: str) -> "dict | None":
+        """A generic JSON payload stored under ``key``, or None on a miss.
+
+        Same miss discipline as :meth:`get`: malformed entries and
+        key mismatches read as misses, never errors — a derived-artifact
+        store can only ever short-circuit work it can vouch for.
+        """
+        data = self._read(key)
+        if data is None:
+            return None
+        payload = data.get("payload")
+        if not isinstance(payload, dict):
+            self._count("cache.miss.corrupt")
+            return None
+        self._count("cache.hit")
+        return payload
+
+    def put_entry(self, key: str, payload: dict) -> bool:
+        """Store a generic JSON payload under ``key`` (atomic write)."""
+        return self._write(
+            key,
+            json.dumps(
+                {"key": key, "payload": payload},
+                indent=None,
+                separators=(",", ":"),
+                sort_keys=True,
+            ),
+        )
 
 
 _SHARED_CACHES: dict[Path, ResultCache] = {}

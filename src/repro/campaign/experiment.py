@@ -49,7 +49,7 @@ from repro.campaign.pool import MatrixSpec, WorkerPool
 
 EXPERIMENT_KINDS = ("campaign", "ablate", "ablate-refine")
 
-EXPERIMENT_BACKENDS = ("serial", "process", "pooled")
+EXPERIMENT_BACKENDS = ("serial", "process")
 
 #: ``simulator`` replays every scenario through the full protocol engine;
 #: ``kernel`` routes ablation scenarios through the vectorized payoff
@@ -413,8 +413,9 @@ class Experiment:
     """Run an :class:`ExperimentSpec` through the right engine.
 
     ``pool`` supplies a caller-owned persistent worker pool (left open);
-    with ``backend="pooled"`` and no pool, the facade creates one for the
-    run and closes it after.  ``cache`` is the incremental result cache,
+    with ``backend="process"`` and no pool, the facade creates one for the
+    run — shared by the lattice run and every refinement probe — and
+    closes it after.  ``cache`` is the incremental result cache,
     threaded through the campaign run *and* every refinement probe; when
     attached, an ``ablate-refine`` run also stores its refined rows in
     the quote row store (:mod:`repro.campaign.ablation.rowstore`), so any
@@ -485,11 +486,9 @@ class Experiment:
                 kernel = KernelEngine(tracer=self.tracer)
             runner_backend = "kernel"
         else:
-            if spec.backend == "pooled" and pool is None:
+            if spec.backend == "process" and pool is None:
                 pool = own_pool = WorkerPool(workers=spec.workers)
-            runner_backend = (
-                "process" if spec.backend == "pooled" else spec.backend
-            )
+            runner_backend = spec.backend
         runner_pool = pool if kernel is None else None
         runner_workers = (
             spec.workers if kernel is None and runner_pool is None else None
@@ -516,7 +515,6 @@ class Experiment:
                     result.frontier = reduce_frontier(report)
             if spec.kind == "ablate-refine" and report.ok:
                 prober = _CellProber(
-                    backend="process" if runner_pool is not None else "serial",
                     pool=runner_pool,
                     cache=self.cache,
                     kernel=kernel,

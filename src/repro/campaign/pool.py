@@ -1,24 +1,27 @@
-"""Persistent worker pools: fork once, run many campaigns.
+"""Worker pools: the one place the campaign engine forks.
 
-``CampaignRunner``'s plain ``process`` backend forks a fresh pool per run
-and lets workers inherit the expanded scenario list through fork — which
-is why builders and strategy transforms never need to be picklable, but
-also why back-to-back runs (benchmarks, multi-matrix campaigns, sharded
-sweeps) pay the pool spawn cost every time.
+Every ``backend="process"`` campaign runs through a :class:`WorkerPool`:
+either one the caller keeps open across runs, or a one-shot pool the
+:class:`~repro.campaign.runner.CampaignRunner` opens for a single run and
+closes after it.  Tasks cross the process boundary as
+``(spec, matrix_digest, index)`` triples, and each worker looks the
+expanded scenario table up by ``(spec, matrix_digest)``.
 
-:class:`WorkerPool` keeps the workers alive across runs.  Since a
-long-lived worker cannot inherit scenarios that did not exist when it was
-forked, reuse needs a *rebuildable* matrix: a :class:`MatrixSpec` is a
+A pool's first run may hand over the parent's expansion before the fork
+(the ``scenarios=`` warm start of :meth:`WorkerPool.run_indices`): the
+workers inherit the table copy-on-write, so builders and strategy
+transforms never need to be picklable and a *spec-less* matrix
+(``spec=None``, e.g. a hand-built :class:`ScenarioMatrix`) runs fine.
+Only a table that must be built *after* the fork — a later run on a
+long-lived pool — needs a *rebuildable* matrix: a :class:`MatrixSpec` is a
 tiny picklable recipe (a registered factory name plus primitive
-arguments) that each worker resolves and expands once, caching the
-scenario table by spec.  Tasks then cross the process boundary as
-``(spec, matrix_digest, index)`` triples; the worker verifies the rebuilt
-matrix's structural digest before running anything, so structural drift
-between parent and worker fails loudly.  The structural digest cannot see
-parameters captured inside builder closures (see
-:meth:`ScenarioMatrix.digest`), so a registered factory must build its
-matrix purely from its arguments — not from mutable module state — for
-the verification to mean what it says.
+arguments) that each worker resolves and expands once.  The worker
+verifies the rebuilt matrix's structural digest before running anything,
+so structural drift between parent and worker fails loudly.  The
+structural digest cannot see parameters captured inside builder closures
+(see :meth:`ScenarioMatrix.digest`), so a registered factory must build
+its matrix purely from its arguments — not from mutable module state —
+for the verification to mean what it says.
 
 Factories register under a short name — ``default`` is
 :func:`repro.campaign.families.default_matrix`, ``ablation`` is
@@ -56,12 +59,13 @@ _STANDARD_FACTORY_MODULES = (
     "repro.campaign.ablation",
 )
 
-# Worker-side cache: spec → (structural digest, expanded scenario table).
-# Bounded LRU: a run's tasks all share one spec, so a handful of entries
-# covers alternating matrices without letting a long parameter sweep grow
-# per-worker memory without limit.
-_SPEC_CACHE: dict["MatrixSpec", tuple[str, list[Scenario]]] = {}
-_MAX_CACHED_SPECS = 4
+# Worker-side cache: (spec, structural digest) → expanded scenario table.
+# ``spec`` is None for a spec-less matrix, whose table exists only if the
+# parent seeded it before the fork.  Bounded LRU: a run's tasks all share
+# one key, so a handful of entries covers alternating matrices without
+# letting a long parameter sweep grow per-worker memory without limit.
+_TABLES: dict[tuple[MatrixSpec | None, str], list[Scenario]] = {}
+_MAX_TABLES = 4
 
 
 def register_matrix_factory(
@@ -115,13 +119,8 @@ def fork_available() -> bool:
 
 
 def default_workers() -> int:
-    """The worker count both backends use when none is requested."""
+    """The worker count a pool uses when none is requested."""
     return max(2, os.cpu_count() or 1)
-
-
-def dispatch_chunksize(tasks: int, workers: int) -> int:
-    """Shared batching policy: ~8 chunks per worker, at least 1 task each."""
-    return max(1, tasks // (workers * 8))
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ class MatrixSpec:
     """A picklable recipe for rebuilding a :class:`ScenarioMatrix`.
 
     ``kwargs`` is a sorted tuple of ``(name, value)`` pairs so the spec is
-    hashable (it keys the worker-side cache) and deterministic.  Values
+    hashable (it keys the worker-side tables) and deterministic.  Values
     must be primitives/tuples — anything :mod:`pickle` moves cheaply.
     """
 
@@ -141,39 +140,50 @@ class MatrixSpec:
         return _audit_factory(self.factory)(*self.args, **dict(self.kwargs))
 
 
-def _cache_insert(spec: MatrixSpec, entry: tuple[str, list[Scenario]]) -> None:
-    _SPEC_CACHE.pop(spec, None)
-    while len(_SPEC_CACHE) >= _MAX_CACHED_SPECS:
-        _SPEC_CACHE.pop(next(iter(_SPEC_CACHE)))
-    _SPEC_CACHE[spec] = entry  # insert last: dict order is LRU order
+def _cache_insert(
+    key: tuple[MatrixSpec | None, str], scenarios: list[Scenario]
+) -> None:
+    _TABLES.pop(key, None)
+    while len(_TABLES) >= _MAX_TABLES:
+        _TABLES.pop(next(iter(_TABLES)))
+    _TABLES[key] = scenarios  # insert last: dict order is LRU order
 
 
-def _cached_scenarios(spec: MatrixSpec, matrix_digest: str) -> list[Scenario]:
-    entry = _SPEC_CACHE.get(spec)
-    if entry is None:
+def _cached_scenarios(
+    spec: MatrixSpec | None, matrix_digest: str
+) -> list[Scenario]:
+    key = (spec, matrix_digest)
+    scenarios = _TABLES.get(key)
+    if scenarios is None:
+        if spec is None:
+            raise RuntimeError(
+                f"worker has no scenario table for matrix {matrix_digest[:16]} "
+                "and no recipe to rebuild it: pool reuse needs a rebuildable "
+                "matrix (a registered factory that sets matrix.spec)"
+            )
         # build() audits the registry first: a missing registration fails
         # with the factory name and the full registered set.
         matrix = spec.build()
-        entry = (matrix.digest(), list(matrix.scenarios()))
-    _cache_insert(spec, entry)  # refresh recency either way
-    digest, scenarios = entry
-    if digest != matrix_digest:
-        raise RuntimeError(
-            f"worker rebuilt matrix {digest[:16]} but the campaign expected "
-            f"{matrix_digest[:16]}: the factory behind {spec.factory!r} "
-            f"(registered: {list(registered_factories())}) is not "
-            "deterministic across processes"
-        )
+        digest = matrix.digest()
+        if digest != matrix_digest:
+            raise RuntimeError(
+                f"worker rebuilt matrix {digest[:16]} but the campaign expected "
+                f"{matrix_digest[:16]}: the factory behind {spec.factory!r} "
+                f"(registered: {list(registered_factories())}) is not "
+                "deterministic across processes"
+            )
+        scenarios = list(matrix.scenarios())
+    _cache_insert(key, scenarios)  # refresh recency either way
     return scenarios
 
 
-def _run_spec_index(task: tuple[MatrixSpec, str, int]) -> ScenarioResult:
+def _run_spec_index(task: tuple[MatrixSpec | None, str, int]) -> ScenarioResult:
     spec, matrix_digest, index = task
     return run_scenario(_cached_scenarios(spec, matrix_digest)[index])
 
 
 def _run_spec_index_metered(
-    task: tuple[MatrixSpec, str, int],
+    task: tuple[MatrixSpec | None, str, int],
 ) -> tuple[ScenarioResult, MetricsSnapshot]:
     """Traced variant of :func:`_run_spec_index`: the result plus a
     per-worker telemetry sample (scenario count + busy time keyed by the
@@ -187,11 +197,12 @@ def _run_spec_index_metered(
 
 
 class WorkerPool:
-    """A fork-based process pool that outlives individual campaign runs.
+    """A fork-based process pool that can outlive individual campaign runs.
 
     Pass one instance as ``CampaignRunner(..., pool=...)`` across several
-    runs (or matrices) to pay the fork cost once.  Usable as a context
-    manager; :meth:`close` tears the workers down.
+    runs (or matrices) to pay the fork cost once; without one, the runner
+    opens a one-shot pool per run.  Usable as a context manager;
+    :meth:`close` tears the workers down.
     """
 
     def __init__(self, workers: int | None = None) -> None:
@@ -214,22 +225,22 @@ class WorkerPool:
 
     def run_indices(
         self,
-        spec: MatrixSpec,
+        spec: MatrixSpec | None,
         matrix_digest: str,
         indices: list[int],
         scenarios: list[Scenario] | None = None,
         tracer=None,
         meter=None,
     ) -> list[ScenarioResult]:
-        """Run the given global scenario indices of ``spec``'s matrix.
+        """Run the given global scenario indices of one matrix.
 
-        ``scenarios`` (the parent's *full* expansion, in global index
-        order) is an optional warm-start: when supplied before the pool
-        has forked, it seeds the worker-side cache through fork
-        inheritance — the same copy-on-write mechanism the one-shot
-        process backend uses — so workers skip rebuilding the first
-        matrix.  It is ignored once workers exist, since nothing can be
-        inherited after the fork.
+        ``spec`` is the matrix's rebuild recipe, or None for a spec-less
+        matrix.  ``scenarios`` (the parent's *full* expansion, in global
+        index order) is the warm start: when supplied before the pool has
+        forked, it seeds the worker-side table through fork inheritance,
+        so workers skip rebuilding the first matrix — and a spec-less
+        matrix needs no rebuild at all.  It is ignored once workers exist,
+        since nothing can be inherited after the fork.
 
         ``tracer``/``meter`` (a :class:`repro.obs.Tracer` and
         :class:`repro.obs.ProgressMeter`) switch dispatch to the metered
@@ -237,16 +248,18 @@ class WorkerPool:
         workers finish, and each task's per-worker sample merges into the
         tracer.  Outcomes are byte-identical either way.
         """
+        key = (spec, matrix_digest)
         seeded = scenarios is not None and not self.started
         if seeded:
-            _cache_insert(spec, (matrix_digest, scenarios))
+            _cache_insert(key, scenarios)
         pool = self._ensure_started()
         if seeded:
             # Workers inherited the entry at fork; the parent never reads
-            # its own cache, so drop the reference rather than pin the
+            # its own table, so drop the reference rather than pin the
             # full expansion for the driver process's lifetime.
-            _SPEC_CACHE.pop(spec, None)
-        chunksize = dispatch_chunksize(len(indices), self.workers)
+            _TABLES.pop(key, None)
+        # ~8 chunks per worker, at least 1 task each.
+        chunksize = max(1, len(indices) // (self.workers * 8))
         tasks = [(spec, matrix_digest, index) for index in indices]
         if tracer is None and meter is None:
             return pool.map(_run_spec_index, tasks, chunksize=chunksize)

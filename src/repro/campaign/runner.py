@@ -8,21 +8,22 @@ and executes the selected scenarios through one of three backends:
   (:class:`repro.campaign.ablation.kernels.KernelEngine`), available only
   for matrices built by the ablation factories; produces byte-identical
   results and digests to the simulator backends at a fraction of the cost,
-- ``process`` — a ``multiprocessing`` pool using the ``fork`` start method.
-  Scenarios are dispatched *by index*: workers inherit the expanded
-  scenario list through fork, so builders and strategy transforms never
-  need to be picklable; only the primitive :class:`ScenarioResult` objects
-  cross the process boundary.  On platforms without ``fork`` the runner
-  falls back to serial, and so do empty/tiny selections (below
-  :data:`MIN_PROCESS_SCENARIOS`, where fork overhead dominates); the
-  report's ``backend`` always records what actually ran.
+- ``process`` — a fork-based :class:`repro.campaign.pool.WorkerPool`, the
+  only code that forks.  Scenarios are dispatched *by index*: on a pool's
+  first run the workers inherit the expanded scenario list through fork,
+  so builders and strategy transforms never need to be picklable; only
+  the primitive :class:`ScenarioResult` objects cross the process
+  boundary.
 
-Passing a persistent :class:`repro.campaign.pool.WorkerPool` reuses one
-set of forked workers across runs (``backend="process"`` plus a matrix
-carrying a rebuild ``spec``); the report records ``process:pooled``.  An
-explicit pool always dispatches — even tiny runs — because its fork cost
-amortizes across every run that follows; the tiny-selection serial
-fallback applies only to one-shot pools.
+A caller-supplied pool (``pool=``) is reused across runs and always
+dispatches — even tiny runs — because its fork cost amortizes across every
+run that follows; it needs a matrix carrying a rebuild ``spec``, since a
+later run's workers can only rebuild, not inherit.  Without one, the
+runner opens a one-shot pool for the run and closes it after; that pool
+falls back to serial for empty/tiny selections (below
+:data:`MIN_PROCESS_SCENARIOS`, where fork overhead dominates), and so does
+every platform without ``fork``.  The report's ``backend`` always records
+what actually ran.
 
 Scenarios are independent full simulations, so results are identical
 across backends and process layouts; the :class:`CampaignReport` proves it
@@ -41,7 +42,6 @@ makes cross-host sharding provable.  :meth:`CampaignReport.to_json` /
 from __future__ import annotations
 
 import json
-import multiprocessing
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -50,12 +50,7 @@ from typing import Iterable
 
 from repro.campaign.cache import ResultCache
 from repro.campaign.matrix import ScenarioMatrix, validate_shard
-from repro.campaign.pool import (
-    WorkerPool,
-    default_workers,
-    dispatch_chunksize,
-    fork_available,
-)
+from repro.campaign.pool import WorkerPool, default_workers, fork_available
 from repro.campaign.report import check_kind, register_report
 from repro.campaign.scenario import (
     Scenario,
@@ -64,40 +59,11 @@ from repro.campaign.scenario import (
     result_payload,
     run_scenario,
 )
-from repro.obs import (
-    MetricsSnapshot,
-    ProgressMeter,
-    Tracer,
-    maybe_span,
-    worker_sample,
-)
+from repro.obs import ProgressMeter, Tracer, maybe_span
 
-# Below this many scenarios a requested process backend runs serially:
+# Below this many scenarios a one-shot process pool runs serially instead:
 # forking a pool costs more than the work itself.
 MIN_PROCESS_SCENARIOS = 24
-
-# Worker-side scenario table, inherited through fork (never pickled).
-_WORKER_SCENARIOS: list[Scenario] = []
-
-
-def _pool_init(scenarios: list[Scenario]) -> None:
-    global _WORKER_SCENARIOS
-    _WORKER_SCENARIOS = scenarios
-
-
-def _run_at(index: int) -> ScenarioResult:
-    return run_scenario(_WORKER_SCENARIOS[index])
-
-
-def _run_at_metered(index: int) -> tuple[ScenarioResult, MetricsSnapshot]:
-    """Traced variant of :func:`_run_at`: the result plus a per-worker
-    telemetry sample (scenario count + busy time, keyed by worker pid).
-    The sample rides back across the fork boundary as a picklable
-    :class:`MetricsSnapshot` and is merged into the parent tracer; the
-    result itself is byte-identical to the untraced path."""
-    start = time.perf_counter()
-    result = run_scenario(_WORKER_SCENARIOS[index])
-    return result, worker_sample(1, time.perf_counter() - start)
 
 
 def selection_label(limit: int | None, shard: tuple[int, int] | None) -> str:
@@ -448,7 +414,7 @@ class CampaignRunner:
             if workers is not None:
                 raise ValueError(
                     "workers= conflicts with pool=: the pool's own worker "
-                    f"count ({pool.workers}) governs pooled runs"
+                    f"count ({pool.workers}) governs its runs"
                 )
             if matrix.spec is None:
                 raise ValueError(
@@ -546,32 +512,38 @@ class CampaignRunner:
             self.kernel.tracer = tracer
         return self.kernel.run(scenarios, meter=meter)
 
-    def _run_process(
+    def _run_on_pool(
         self,
-        scenarios: list[Scenario],
+        indices: list[int],
+        matrix_digest: str,
         tracer: Tracer | None = None,
         meter: ProgressMeter | None = None,
     ) -> list[ScenarioResult]:
-        ctx = multiprocessing.get_context("fork")
-        chunksize = dispatch_chunksize(len(scenarios), self.workers)
-        with ctx.Pool(
-            processes=self.workers, initializer=_pool_init, initargs=(scenarios,)
-        ) as pool:
-            if tracer is None and meter is None:
-                return pool.map(_run_at, range(len(scenarios)), chunksize=chunksize)
-            # Traced dispatch streams ordered results so progress can tick
-            # as workers finish; each task carries back a per-worker
-            # MetricsSnapshot sample that merges into the parent tracer.
-            results = []
-            for result, sample in pool.imap(
-                _run_at_metered, range(len(scenarios)), chunksize=chunksize
-            ):
-                results.append(result)
-                if tracer is not None:
-                    tracer.merge_snapshot(sample)
-                if meter is not None:
-                    meter.advance()
-            return results
+        pool = self.pool
+        if pool is not None and self.matrix.spec is None:  # add_block later
+            raise ValueError(
+                "pool reuse needs a rebuildable matrix: the matrix was "
+                "modified after this runner was constructed, clearing "
+                "its rebuild spec"
+            )
+        owned = pool is None
+        if owned:
+            pool = WorkerPool(self.workers)
+        try:
+            # Before the pool's first fork, hand it the parent-side
+            # expansion so workers inherit the table instead of rebuilding.
+            seed = None if pool.started else list(self.matrix.scenarios())
+            return pool.run_indices(
+                self.matrix.spec,
+                matrix_digest,
+                indices,
+                scenarios=seed,
+                tracer=tracer,
+                meter=meter,
+            )
+        finally:
+            if owned:
+                pool.close()
 
     # ------------------------------------------------------------------
     # driver
@@ -580,16 +552,9 @@ class CampaignRunner:
         """The backend that will actually run ``selected`` scenarios."""
         if self.backend == "kernel":
             return "kernel"
-        if self.backend != "process":
+        if self.backend != "process" or not fork_available():
             return "serial"
-        if not fork_available():  # pragma: no cover - platform dependent
-            return "serial"
-        if self.pool is not None:
-            # An explicit pool is an opt-in to amortized dispatch: start it
-            # even for a tiny first run, since its fork cost is paid once
-            # across every run that follows.
-            return "process:pooled"
-        if selected < MIN_PROCESS_SCENARIOS:
+        if self.pool is None and selected < MIN_PROCESS_SCENARIOS:
             return "serial"  # fork overhead would dominate a one-shot pool
         return "process"
 
@@ -672,23 +637,9 @@ class CampaignRunner:
         with maybe_span(
             tracer, "campaign.dispatch", backend=backend, scenarios=len(to_run)
         ):
-            if backend == "process:pooled":
-                if self.matrix.spec is None:  # add_block after construction
-                    raise ValueError(
-                        "pool reuse needs a rebuildable matrix: the matrix was "
-                        "modified after this runner was constructed, clearing "
-                        "its rebuild spec"
-                    )
-                # Before the pool's first fork, hand it the parent-side
-                # expansion so workers inherit the table instead of rebuilding.
-                seed = None if self.pool.started else list(self.matrix.scenarios())
-                fresh = self.pool.run_indices(
-                    self.matrix.spec,
-                    matrix_digest,
-                    to_run,
-                    scenarios=seed,
-                    tracer=tracer,
-                    meter=meter,
+            if backend == "process":
+                fresh = self._run_on_pool(
+                    to_run, matrix_digest, tracer=tracer, meter=meter
                 )
             else:
                 if self.cache is None:
@@ -697,9 +648,7 @@ class CampaignRunner:
                     )
                 else:
                     scenarios = list(self.matrix.scenarios(indices=to_run))
-                if backend == "process":
-                    fresh = self._run_process(scenarios, tracer=tracer, meter=meter)
-                elif backend == "kernel":
+                if backend == "kernel":
                     fresh = self._run_kernel(scenarios, tracer=tracer, meter=meter)
                 else:
                     fresh = self._run_serial(scenarios, tracer=tracer, meter=meter)
@@ -718,12 +667,12 @@ class CampaignRunner:
         if meter is not None:
             meter.finish()
 
-        if backend == "process:pooled":
-            workers = self.pool.workers
-        elif backend == "process":
-            workers = self.workers
-        else:
+        if backend != "process":
             workers = 1
+        elif self.pool is not None:
+            workers = self.pool.workers
+        else:
+            workers = self.workers
         report = CampaignReport(
             backend=backend,
             workers=workers,

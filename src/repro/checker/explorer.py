@@ -45,9 +45,11 @@ class CheckReport:
     transactions: int = 0
     violations: list[Violation] = field(default_factory=list)
     elapsed_seconds: float = 0.0
-    #: the backend that actually ran (a requested "process" backend falls
-    #: back to "serial" on platforms without fork, and for selections too
-    #: small to amortize the pool fork cost).
+    #: the backend that actually ran: "process" (a one-shot forked
+    #: WorkerPool; the checker's matrix is spec-less, so its workers
+    #: inherit the scenario table at fork) or "serial" — a requested
+    #: "process" backend falls back to it on platforms without fork and
+    #: for selections too small to amortize the pool fork cost.
     backend: str = "serial"
 
     @property

@@ -337,14 +337,13 @@ def _obs_from_args(args):
 
 def _spec_from_args(kind: str, args) -> ExperimentSpec:
     """The spec constructor behind the `spec` subcommand."""
-    backend = "pooled" if args.pooled else args.backend
     try:
         if kind == "campaign":
             return campaign_spec(
                 families=_parse_families(args.families),
                 seed=args.seed,
                 max_adversaries=args.adversaries,
-                backend=backend,
+                backend=args.backend,
                 workers=args.workers,
                 limit=args.limit,
                 shard=_parse_shard(args.shard),
@@ -358,7 +357,7 @@ def _spec_from_args(kind: str, args) -> ExperimentSpec:
             else None,
             coalitions=args.coalitions,
             seed=args.seed,
-            backend=backend,
+            backend=args.backend,
             workers=args.workers,
             engine=args.engine,
         )
@@ -810,13 +809,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="stream scenarios done/total + ETA to stderr")
 
     def exec_flags(p):
-        """--backend/--pooled/--workers/--cache: execution layout, shared
-        by every spec kind."""
+        """--backend/--workers/--cache: execution layout, shared by every
+        spec kind."""
         p.add_argument("--backend", choices=["serial", "process"],
-                       default="serial")
-        p.add_argument("--pooled", action="store_true",
-                       help="run through a persistent WorkerPool "
-                            "(implies process)")
+                       default="serial",
+                       help="process runs on one forked WorkerPool, shared "
+                            "by the lattice run and every refinement probe")
         p.add_argument("--workers", type=int, default=None,
                        help="process-pool size")
         p.add_argument("--cache", default=None, metavar="DIR",

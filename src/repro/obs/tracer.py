@@ -9,7 +9,7 @@ linter's DET003 rule flags any telemetry call that strays into a
 ``digest()``/``to_json()``/``describe()`` scope.  Traced and untraced
 runs of the same experiment therefore produce byte-identical scenario,
 run, and frontier digests; ``tests/test_obs.py`` proves it across the
-serial, pooled, and kernel backends.
+serial, process, and kernel backends.
 
 Three layers:
 

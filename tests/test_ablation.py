@@ -147,7 +147,7 @@ def test_frontier_digest_identical_serial_vs_pooled_vs_merged_shards():
             ).run()
             for i in (1, 2)
         ]
-    assert pooled.backend == "process:pooled"
+    assert pooled.backend == "process"
     assert serial.run_digest == pooled.run_digest
     frontier = reduce_frontier(serial)
     assert frontier.digest == reduce_frontier(pooled).digest

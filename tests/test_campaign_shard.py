@@ -9,16 +9,21 @@ coverage, tiny process runs fall back to serial, and a persistent
 :class:`WorkerPool` reproduces fresh-pool digests across reused runs.
 """
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.campaign import (
     CampaignReport,
     CampaignRunner,
+    Experiment,
     MatrixSpec,
     ScenarioMatrix,
     WorkerPool,
     default_matrix,
     merge_reports,
+    refine_spec,
 )
 from repro.campaign.runner import MIN_PROCESS_SCENARIOS
 from repro.checker import halt_strategies, properties
@@ -310,6 +315,64 @@ def test_tiny_process_run_falls_back_to_serial():
 
 
 # ----------------------------------------------------------------------
+# one fork path: every process run goes through a WorkerPool
+# ----------------------------------------------------------------------
+def test_runner_and_experiment_owned_pools_leave_no_workers():
+    report = CampaignRunner(small_matrix(), backend="process").run()
+    assert report.backend == "process"
+    assert multiprocessing.active_children() == []
+    # the experiment's pool serves the lattice run and every refine probe
+    result = Experiment(
+        refine_spec(
+            families=("two-party",),
+            premium_fractions=(0.0, 0.02, 0.05),
+            shock_fractions=(0.045,),
+            stages=("staked",),
+            engine="simulator",
+            backend="process",
+            workers=2,
+        )
+    ).run()
+    assert result.campaign.backend == "process"
+    assert result.refined.rows[0].probes
+    assert multiprocessing.active_children() == []
+
+
+def test_traced_one_shot_run_of_a_spec_less_matrix_carries_worker_samples():
+    from repro.obs import Tracer
+
+    assert small_matrix().spec is None  # workers can only inherit it
+    untraced = CampaignRunner(small_matrix(), backend="process", workers=2).run()
+    tracer = Tracer()
+    traced = CampaignRunner(
+        small_matrix(), backend="process", workers=2, tracer=tracer
+    ).run()
+    assert traced.run_digest == untraced.run_digest
+    assert traced.run_digest == CampaignRunner(small_matrix()).run().run_digest
+    samples = {
+        name: value
+        for name, value in tracer.metrics.snapshot().counters
+        if name.startswith("worker.") and name.endswith(".scenarios")
+    }
+    assert samples, "no worker samples crossed the fork boundary"
+    assert sum(samples.values()) == len(small_matrix())
+    assert f"worker.{os.getpid()}.scenarios" not in samples
+
+
+def test_started_pool_refuses_a_spec_less_matrix_it_cannot_rebuild():
+    matrix = small_matrix()
+    with WorkerPool(workers=2) as pool:
+        pool.run_indices(
+            None, matrix.digest(), [0], scenarios=list(matrix.scenarios())
+        )
+        # a different spec-less matrix after the fork: nothing to inherit,
+        # no recipe to rebuild from
+        other = small_matrix(seed=1)
+        with pytest.raises(RuntimeError, match="rebuildable"):
+            pool.run_indices(None, other.digest(), [0])
+
+
+# ----------------------------------------------------------------------
 # persistent worker pool
 # ----------------------------------------------------------------------
 def test_worker_pool_reuse_matches_serial_digests():
@@ -329,9 +392,9 @@ def test_worker_pool_reuse_matches_serial_digests():
         other = CampaignRunner(
             default_matrix(families=["bootstrap"]), backend="process", pool=pool
         ).run()
-    assert first.backend == second.backend == "process:pooled"
+    assert first.backend == second.backend == "process"
     assert first.run_digest == second.run_digest == serial.run_digest
-    assert other.backend == "process:pooled"  # started pool serves tiny runs
+    assert other.backend == "process"  # started pool serves tiny runs
     assert other.ok
 
 

@@ -13,6 +13,9 @@ Pins:
   stored ``"key"`` field disagrees with its address reads as a miss,
 - **orphan temp sweep**: hour-old ``.tmp-*`` writer leftovers are removed
   on cache open, young ones (a concurrent writer mid-flight) survive,
+- **concurrent writers**: two forked processes rewriting one key (block
+  and generic entries alike) leave a concurrent reader only misses or
+  complete, verified entries, and no ``.tmp-*`` file behind,
 - **code_version refresh**: the per-process memo can be dropped
   (``refresh=True`` / ``invalidate_code_version``) so a long-lived
   process re-hashes sources that changed underneath it.
@@ -20,8 +23,10 @@ Pins:
 
 import json
 import math
+import multiprocessing
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -186,6 +191,68 @@ def test_cache_sweep_temps_returns_count(tmp_path):
         old = time.time() - 7200
         os.utime(path, (old, old))
     assert cache.sweep_temps() == 2
+
+
+WRITER_ROUNDS = 150
+BLOCK_SIZE = 64
+
+
+def _writer_block(tag: str) -> list[ScenarioResult]:
+    # each writer stores its own, distinguishable version of the block
+    return [
+        replace(_result(i), digest=tag * 64) for i in range(BLOCK_SIZE)
+    ]
+
+
+def _rewrite_forever(root, block_key: str, entry_key: str, tag: str) -> None:
+    cache = ResultCache(root)
+    block = _writer_block(tag)
+    payload = {"writer": tag, "rows": list(range(BLOCK_SIZE))}
+    for _ in range(WRITER_ROUNDS):
+        assert cache.put(block_key, block)
+        assert cache.put_entry(entry_key, payload)
+
+
+def test_two_forked_writers_on_one_key_never_expose_a_torn_entry(tmp_path):
+    from repro.obs import Tracer
+
+    cache = ResultCache(tmp_path)
+    tracer = Tracer()
+    cache.tracer = tracer
+    block_key = cache.block_key("shared-block", BLOCK_SIZE)
+    entry_key = cache.block_key("shared-entry", 0)
+    blocks = {tag: _writer_block(tag) for tag in "ab"}
+    ctx = multiprocessing.get_context("fork")
+    writers = [
+        ctx.Process(
+            target=_rewrite_forever, args=(tmp_path, block_key, entry_key, tag)
+        )
+        for tag in "ab"
+    ]
+    for writer in writers:
+        writer.start()
+    reads = 0
+    deadline = time.monotonic() + 60
+    try:
+        while any(writer.is_alive() for writer in writers):
+            assert time.monotonic() < deadline, "writers did not finish"
+            got = cache.get(block_key, BLOCK_SIZE)
+            assert got is None or got in blocks.values()
+            entry = cache.get_entry(entry_key)
+            assert entry is None or entry["writer"] in blocks
+            reads += 1
+    finally:
+        for writer in writers:
+            if writer.is_alive():
+                writer.terminate()
+            writer.join(timeout=10)
+    assert all(writer.exitcode == 0 for writer in writers)
+    assert reads
+    # a torn read would have counted as corrupt, never as a clean miss
+    assert tracer.metrics.counter("cache.miss.corrupt") == 0
+    assert cache.get(block_key, BLOCK_SIZE) in blocks.values()
+    assert cache.get_entry(entry_key)["writer"] in blocks
+    assert list(tmp_path.glob(".tmp-*")) == []
 
 
 # ---------------------------------------------------------------------------

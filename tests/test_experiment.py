@@ -73,7 +73,7 @@ def test_spec_json_roundtrip_and_digest_stability():
 
 def test_spec_digest_covers_results_not_execution_layout():
     serial = ablate_spec(**GRID)
-    pooled = ablate_spec(backend="pooled", workers=2, **GRID)
+    pooled = ablate_spec(backend="process", workers=2, **GRID)
     expected = ablate_spec(expect=(("frontier", "0" * 64),), **GRID)
     # backend/workers/expect never change what runs, so they never change
     # the spec identity
@@ -116,8 +116,14 @@ def test_spec_validation_rejects_malformed_fields():
     good = ablate_spec(**GRID)
     with pytest.raises(ExperimentError, match="unknown experiment kind"):
         ExperimentSpec(kind="nope", matrix=good.matrix)
+    for backend in ("threads", "pooled"):
+        with pytest.raises(ExperimentError, match="unknown backend"):
+            ExperimentSpec(kind="ablate", matrix=good.matrix, backend=backend)
+    # a spec file carrying the retired "pooled" value is refused the same way
+    data = json.loads(good.to_json())
+    data["backend"] = "pooled"
     with pytest.raises(ExperimentError, match="unknown backend"):
-        ExperimentSpec(kind="ablate", matrix=good.matrix, backend="threads")
+        ExperimentSpec.from_json(json.dumps(data))
     with pytest.raises(ExperimentError, match="tol applies only"):
         ExperimentSpec(kind="ablate", matrix=good.matrix, tol=0.01)
     with pytest.raises(ExperimentError, match="full lattice coverage"):

@@ -4,9 +4,9 @@ Pins the contracts the telemetry layer makes:
 
 - **digest invariance** (acceptance criterion): a traced run with a
   progress callback produces byte-identical scenario/run/frontier
-  digests to the untraced run — across the serial simulator, the pooled
-  simulator (worker samples over the fork boundary), and the vectorized
-  kernel engine;
+  digests to the untraced run — across the serial simulator, the
+  process-backend simulator (worker samples over the fork boundary),
+  and the vectorized kernel engine;
 - **MetricsSnapshot merge laws**: associative, commutative, identity,
   and order-independent ``merge_all`` — the properties that make
   per-worker samples safe to fold in arrival order (exercised over
@@ -83,7 +83,7 @@ def traced_run(spec, tmp_path, name):
     [
         ("kernel", dict(engine="kernel")),
         ("serial", dict(engine="simulator", backend="serial")),
-        ("pooled", dict(engine="simulator", backend="pooled", workers=2)),
+        ("pooled", dict(engine="simulator", backend="process", workers=2)),
     ],
 )
 def test_traced_and_untraced_digests_identical(tmp_path, name, spec_kwargs):
@@ -104,7 +104,7 @@ def test_traced_and_untraced_digests_identical(tmp_path, name, spec_kwargs):
 
 
 def test_pooled_trace_carries_worker_samples(tmp_path):
-    spec = ablate_spec(engine="simulator", backend="pooled", workers=2, **GRID)
+    spec = ablate_spec(engine="simulator", backend="process", workers=2, **GRID)
     _, trace_path, _ = traced_run(spec, tmp_path, "pooled-workers")
     summary = summarize_trace(trace_path)
     assert summary.workers, "no worker samples crossed the fork boundary"
