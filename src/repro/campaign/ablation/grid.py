@@ -101,7 +101,7 @@ def valid_stage(stage: str) -> bool:
         return True
     if stage.startswith("round:"):
         suffix = stage.split(":", 1)[1]
-        return suffix.isdigit()
+        return suffix.isascii() and suffix.isdigit()
     return False
 
 

@@ -638,6 +638,7 @@ def is_graph_family(family: str) -> bool:
     return (
         bool(sep)
         and kind in GRAPH_FAMILY_KINDS
+        and count.isascii()
         and count.isdigit()
         and int(count) >= 2
     )

@@ -73,9 +73,10 @@ def code_version(refresh: bool = False) -> str:
         _CODE_VERSION = None
     if _CODE_VERSION is None:
         root = Path(__file__).resolve().parent.parent  # src/repro
-        # sorted() here is load-bearing (and ORD001-guarded): rglob
-        # yields filesystem enumeration order, which differs across
-        # hosts and checkouts, and the digest below encodes file order.
+        # rglob yields filesystem enumeration order, which differs across
+        # hosts and checkouts, and the digest below encodes file order;
+        # _hash_sources re-sorts too, and FLOW002 flags a walk that
+        # reaches the hash unsorted.
         paths = sorted(root.rglob("*.py"), key=lambda p: _source_key(root, p))
         _CODE_VERSION = _hash_sources(root, paths)
     return _CODE_VERSION

@@ -37,9 +37,13 @@ def canon_float(value: float | int | str) -> float:
     are rejected: ``json.dumps`` would emit the non-standard ``NaN`` /
     ``Infinity`` tokens, which strict parsers on other hosts refuse — a
     NaN axis or metric must fail at the source, not poison a report
-    round-trip later.
+    round-trip later.  An integer too large for a double is rejected the
+    same way.
     """
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
     if not math.isfinite(value):
         raise ValueError(
             f"non-finite value {value!r} has no canonical form: digests "

@@ -37,7 +37,7 @@ and bisection probes alike), verifies ``expect``, and returns an
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from hashlib import sha256
 from typing import Iterable
 
@@ -63,6 +63,20 @@ EXPERIMENT_ENGINES = ("simulator", "kernel")
 
 class ExperimentError(ValueError):
     """A spec could not be honored (bad fields, digest expectation miss)."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _refuse_unknown(where: str, data: dict, cls, *extra: str) -> None:
+    """Refuse keys that are not fields of ``cls`` (or ``extra``)."""
+    known = {field.name for field in fields(cls)} | set(extra)
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ExperimentError(
+            f"unknown {where} fields {unknown}; known: {sorted(known)}"
+        )
 
 
 def _tuplify(value):
@@ -121,6 +135,12 @@ class ExperimentSpec:
             raise ExperimentError(
                 f"matrix must be a MatrixSpec, got {type(self.matrix).__name__}"
             )
+        for name in ("workers", "limit"):
+            value = getattr(self, name)
+            if value is not None and not _is_int(value):
+                raise ExperimentError(
+                    f"{name} must be an integer, got {value!r}"
+                )
         if self.limit is not None and self.limit < 1:
             raise ExperimentError(f"limit must be >= 1, got {self.limit}")
         if self.shard is not None:
@@ -129,6 +149,10 @@ class ExperimentSpec:
             raise ExperimentError("tol applies only to ablate-refine specs")
         if self.tol is not None and self.tol <= 0:
             raise ExperimentError(f"tol must be positive, got {self.tol}")
+        if self.tol is not None:
+            # digest() and to_json() hash canon_float(tol): a tol with no
+            # canonical form is refused here, not at the first digest.
+            canon_float(self.tol)
         if self.kind == "ablate-refine" and (
             self.limit is not None or self.shard is not None
         ):
@@ -218,35 +242,66 @@ class ExperimentSpec:
             data = json.loads(text)
         except json.JSONDecodeError as err:
             raise ExperimentError(f"not a JSON experiment spec: {err}")
-        try:
-            matrix = MatrixSpec(
-                factory=data["matrix"]["factory"],
-                args=_tuplify(data["matrix"].get("args", [])),
-                kwargs=tuple(
-                    sorted(
-                        (name, _tuplify(value))
-                        for name, value in data["matrix"].get("kwargs", {}).items()
-                    )
-                ),
+        if not isinstance(data, dict):
+            raise ExperimentError(
+                f"an experiment spec is a JSON object, got {type(data).__name__}"
             )
+        _refuse_unknown("spec", data, cls, "digest")
+        matrix = data.get("matrix")
+        if not isinstance(matrix, dict):
+            raise ExperimentError(f"matrix must be a JSON object, got {matrix!r}")
+        _refuse_unknown("matrix", matrix, MatrixSpec)
+        kwargs = matrix.get("kwargs", {})
+        shard = data.get("shard")
+        tol = data.get("tol")
+        expect = data.get("expect", {})
+        stamped = data.get("digest", "")
+        for ok, what, value in (
+            (isinstance(matrix.get("factory"), str),
+             "matrix.factory must be a string", matrix.get("factory")),
+            (isinstance(kwargs, dict), "matrix.kwargs must be a JSON object",
+             kwargs),
+            (shard is None or (
+                isinstance(shard, list) and len(shard) == 2
+                and all(_is_int(x) for x in shard)
+            ), "shard must be null or [index, count] integers", shard),
+            (tol is None or (
+                isinstance(tol, (int, float)) and not isinstance(tol, bool)
+            ), "tol must be null or a number", tol),
+            (isinstance(expect, dict)
+             and all(isinstance(d, str) for d in expect.values()),
+             "expect must map report kinds to digest strings", expect),
+            (isinstance(stamped, str), "digest must be a string", stamped),
+        ):
+            if not ok:
+                raise ExperimentError(f"{what}, got {value!r}")
+        try:
             spec = cls(
                 kind=data["kind"],
-                matrix=matrix,
+                matrix=MatrixSpec(
+                    factory=matrix["factory"],
+                    args=_tuplify(matrix.get("args", [])),
+                    kwargs=tuple(
+                        sorted(
+                            (name, _tuplify(value))
+                            for name, value in kwargs.items()
+                        )
+                    ),
+                ),
                 backend=data.get("backend", "serial"),
                 workers=data.get("workers"),
                 limit=data.get("limit"),
-                shard=tuple(data["shard"]) if data.get("shard") else None,
-                tol=data.get("tol"),
+                shard=tuple(shard) if shard is not None else None,
+                tol=tol,
                 engine=data.get("engine", "simulator"),
-                expect=tuple(sorted(data.get("expect", {}).items())),
+                expect=tuple(sorted(expect.items())),
             )
         except ExperimentError:
             raise
         except (KeyError, TypeError, ValueError) as err:
             # ValueError: field validation (e.g. a bad shard coordinate)
             raise ExperimentError(f"malformed experiment spec: {err}")
-        stamped = data.get("digest")
-        if stamped is not None and stamped != spec.digest():
+        if "digest" in data and stamped != spec.digest():
             raise ExperimentError(
                 "spec digest mismatch after deserialization: "
                 f"{spec.digest()[:16]} != {stamped[:16]} — the spec was "

@@ -12,14 +12,16 @@ it:
 
 - ``DET001``/``DET002`` — nondeterministic calls (wall clocks, uuids, OS
   entropy, per-process object identity, unseeded RNGs),
-- ``ORD001`` — unsorted iteration (sets, directory walks) feeding digest,
-  JSON, or report construction,
-- ``CANON001`` — ad-hoc float formatting in digest/label code instead of
-  :mod:`repro.campaign.canon`,
+- ``DET003`` — telemetry readbacks inside digest-producing code,
 - ``POOL001`` — unpicklable callables (lambdas, closures, local classes)
   crossing the ``WorkerPool``/``MatrixSpec`` worker boundary,
-- ``DIG001`` — dataclass fields invisible to their class's ``digest()``/
-  ``to_json()`` without an explicit exclusion.
+- ``DIG001``/``DIG002`` — dataclass fields invisible to their class's
+  ``digest()``/``to_json()`` without an explicit exclusion, and stale
+  exclusion entries,
+- ``FLOW001``/``FLOW002``/``FLOW003`` — the interprocedural flow pass
+  (:mod:`repro.lint.flow`): a nondeterministic value, an unsorted
+  iteration (sets, directory walks) or lossy float text (rendered
+  outside :mod:`repro.campaign.canon`) reaching a digest sink.
 
 Run it as ``python -m repro.lint [paths]``; suppress a finding inline
 with ``# lint: disable=CODE`` plus a justification, or carry it in the

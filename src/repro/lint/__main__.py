@@ -87,15 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--audit",
-        action="store_true",
-        help=(
-            "cross-check heuristic digest findings (ORD001/CANON001) "
-            "against the flow analysis; unconfirmed ones gain an "
-            "AUDIT001 companion finding"
-        ),
-    )
-    parser.add_argument(
         "-q", "--quiet", action="store_true", help="print findings only"
     )
     return parser
@@ -179,9 +170,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.baseline is not None or Path(baseline_path).exists():
                 baseline = Baseline.load(baseline_path)
 
-        result = lint_paths(
-            args.paths, rules=rules, baseline=baseline, audit=args.audit
-        )
+        result = lint_paths(args.paths, rules=rules, baseline=baseline)
     except LintError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -18,8 +18,9 @@ pieces live here:
   selection is given.
 
 Shared helpers for the digest-aware rules (:func:`qualified_name`,
-:func:`is_digest_function`, :func:`enclosing_function`) also live here so
-every rule agrees on what "digest-producing code" means.
+:func:`is_digest_function`, :func:`enclosing_function`,
+:data:`DIGEST_NAME_RE`) also live here so every rule agrees on what
+"digest-producing code" means.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ class Finding:
     #: source→sink call chain for flow findings (function labels in
     #: traversal order); empty for single-site rules.
     chain: tuple[str, ...] = field(default=(), compare=False)
-    #: (path, line) of the taint *source* for flow findings — the audit
-    #: uses it to match heuristic findings against flow confirmations.
+    #: (path, line) of the taint *source* for flow findings (the JSON
+    #: report's ``source`` object).
     source_ref: tuple[str, int] | None = field(default=None, compare=False)
 
     def fingerprint(self) -> tuple[str, str, str]:
@@ -264,7 +265,7 @@ def enclosing_function(src: SourceFile, node: ast.AST) -> FuncDef | None:
 
 #: function names that produce digests, canonical labels, or transport
 #: payloads — the scopes where ordering and float-canon hazards matter.
-_DIGEST_NAME_RE = re.compile(
+DIGEST_NAME_RE = re.compile(
     r"digest|to_json|payload|describe|fingerprint|code_version|canonical"
 )
 
@@ -289,11 +290,11 @@ def is_digest_function(func: FuncDef, aliases: dict[str, str]) -> bool:
     True when its name matches the digest-name pattern (``digest``,
     ``to_json``, ``describe``, ``code_version``, ...) or its body calls a
     hashing constructor / ``json.dumps`` directly.  This is the shared
-    definition of "digest-producing code" used by the ORD and CANON
-    rules: deliberately name-driven, because this codebase's convention
-    is that everything feeding a digest lives in such a function.
+    definition of "digest-producing code" the DET003 rule scopes on:
+    deliberately name-driven, because this codebase's convention is that
+    everything feeding a digest lives in such a function.
     """
-    if _DIGEST_NAME_RE.search(func.name):
+    if DIGEST_NAME_RE.search(func.name):
         return True
     for node in ast.walk(func):
         if isinstance(node, ast.Call):

@@ -78,16 +78,8 @@ def lint_paths(
     paths: Sequence[str | Path],
     rules: Iterable[Rule] | None = None,
     baseline: Baseline | None = None,
-    audit: bool = False,
 ) -> LintResult:
-    """Run rules over the trees/files given; fold in suppressions/baseline.
-
-    With ``audit=True``, every heuristic digest-scope finding (ORD001 /
-    CANON001) left after suppression is cross-checked against the flow
-    analysis: a finding the interprocedural pass cannot confirm gains an
-    ``AUDIT001`` companion, so heuristic false positives surface instead
-    of silently diverging from the authoritative flow pass.
-    """
+    """Run rules over the trees/files given; fold in suppressions/baseline."""
     active = list(rules) if rules is not None else all_rules()
     result = LintResult()
     raw: list[Finding] = []
@@ -134,12 +126,6 @@ def lint_paths(
             else:
                 fold(src, finding)
 
-    if audit:
-        # Imported here, not at module top: the audit is the only engine
-        # feature that depends on the flow package.
-        from repro.lint.flow.rules import crosscheck
-
-        raw.extend(crosscheck(sources, raw))
     raw.sort()
     if baseline is not None:
         fresh, matched, stale = baseline.partition(raw)

@@ -1,12 +1,11 @@
-"""Interprocedural flow analysis: the authority behind the digest rules.
+"""Interprocedural flow analysis: the one analysis of digest flows.
 
-The PR 7 rule families (ORD001, CANON001, ...) are *scope heuristics*:
-they flag a hazard only when it sits inside a function that looks
-digest-producing by name or by calling :mod:`hashlib` directly.  That
-heuristic is blind to indirection — a helper returning an unsorted set
-into a dataclass field that a ``digest()`` three calls away hashes is
-invisible to it.  This package closes the gap with a whole-program pass
-over everything the engine parsed:
+A hazard matters only when it reaches digest material, and the path
+there often crosses functions — a helper returning an unsorted set into
+a dataclass field that a ``digest()`` three calls away hashes.  This
+package follows such paths with a whole-program pass over everything
+the engine parsed, and is the only analysis of ordering and float-canon
+hazards:
 
 - :mod:`~repro.lint.flow.callgraph` builds a module-level call graph,
   resolving import aliases, ``self.method`` dispatch, module-qualified
@@ -18,15 +17,14 @@ over everything the engine parsed:
   (set construction, filesystem walks), **lossy** (float text not
   rendered by :mod:`repro.campaign.canon`) — and the digest sinks
   (hash inputs, canonical JSON, digest-covered dataclass fields, axis
-  labels),
+  labels, hazards a digest-named function returns),
 - :mod:`~repro.lint.flow.summaries` computes per-function summaries by
   fixpoint — which parameters and returns carry which taint, which
   parameters descend into sinks, which dataclass fields are written
   tainted — and joins them into source→sink *flow hits*,
 - :mod:`~repro.lint.flow.rules` renders the hits as FLOW001 (nondet →
   sink), FLOW002 (unordered → sink), FLOW003 (lossy text → sink)
-  findings carrying the full call chain, and cross-checks the heuristic
-  rules against the flow results (``crosscheck`` → AUDIT001).
+  findings carrying the full call chain.
 
 The analyzer honors the determinism bar it enforces: every exported
 artifact (findings, ``--graph json|dot``) is sorted, and two runs over

@@ -30,6 +30,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from repro.lint.core import DIGEST_NAME_RE
 from repro.lint.flow.callgraph import (
     CallSite,
     ClassInfo,
@@ -41,6 +42,7 @@ from repro.lint.flow.taint import (
     ALL_KINDS,
     CANON_CALLS,
     HASH_CONSTRUCTORS,
+    LABEL_NAME_RE,
     LOSSY,
     MUTATORS,
     NONDET,
@@ -208,7 +210,8 @@ class _Transfer:
         self.ret: TaintMap = {}
         self.param_sinks: dict[int, dict[tuple[Sink, tuple[str, ...]], Trail]] = {}
         self.hits: list[FlowHit] = []
-        self._is_label_fn = _is_label_name(self.info.node.name)
+        self._is_label_fn = bool(LABEL_NAME_RE.search(self.info.node.name))
+        self._is_digest_fn = bool(DIGEST_NAME_RE.search(self.info.node.name))
 
     # -- entry ---------------------------------------------------------
     def run(self) -> Summary:
@@ -231,6 +234,8 @@ class _Transfer:
                 break
         if self._is_label_fn:
             self._label_sink()
+        elif self._is_digest_fn:
+            self._digest_return_sink()
         return Summary(ret=dict(self.ret), param_sinks=self._packed_sinks())
 
     def _seed_params(self) -> None:
@@ -309,6 +314,24 @@ class _Transfer:
         # tables that get hashed), so every kind sinks here — a label
         # built from set iteration is as digest-hostile as lossy text.
         self._feed_sink(sink, self.ret, kinds=ALL_KINDS)
+
+    def _digest_return_sink(self) -> None:
+        sink = Sink(
+            kind="return",
+            detail=self.info.node.name,
+            path=self.src.display_path,
+            line=self.info.node.lineno,
+        )
+        # A digest-named function's return is digest material, but it
+        # also carries transport fields (timings, trace ids) that never
+        # reach a hash.  So only hazards built right here sink: ordering
+        # and float-text tags this function generated itself.
+        local: TaintMap = {
+            item: trail
+            for item, trail in self.ret.items()
+            if isinstance(item, Tag) and item.origin == self.label and not trail
+        }
+        self._feed_sink(sink, local, kinds=(LOSSY, UNORDERED))
 
     def _field_write(
         self, cls: ClassInfo, fname: str, taints: TaintMap, line: int
@@ -854,12 +877,6 @@ class _Transfer:
             path=self.src.display_path,
             line=node.lineno,
         )
-
-
-def _is_label_name(name: str) -> bool:
-    from repro.lint.rules.canonfloat import _LABEL_NAME_RE
-
-    return bool(_LABEL_NAME_RE.search(name))
 
 
 __all__ = ["FlowAnalysis", "FlowHit", "Summary", "Trail"]

@@ -156,6 +156,10 @@ class QuoteRequest:
             raise QuoteError(
                 f"unknown quote-request fields {unknown}; known: {sorted(known)}"
             )
+        for key in ("family", "graph", "coalition", "stage", "digest"):
+            value = data.get(key, "")
+            if not isinstance(value, str):
+                raise QuoteError(f"{key} must be a string, got {value!r}")
         seed = data.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise QuoteError(f"seed must be an integer, got {seed!r}")

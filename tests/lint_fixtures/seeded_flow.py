@@ -1,6 +1,6 @@
 """Seeded FLOW001/002/003 violations (never executed; see README.md).
 
-Each flow here is *heuristically clean*: the source hazard lives in
+Each flow here is *clean per file*: the source hazard lives in
 ``flow_helpers.py`` under an innocent name, and this module's sinks
 contain no hazardous construct of their own — ``tests/test_lint_flow.py``
 asserts the per-file rule families stay silent on both files while the

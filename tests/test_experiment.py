@@ -130,6 +130,55 @@ def test_spec_validation_rejects_malformed_fields():
         ExperimentSpec(kind="ablate-refine", matrix=good.matrix, shard=(1, 2))
     with pytest.raises(ValueError, match="shard"):
         ExperimentSpec(kind="ablate", matrix=good.matrix, shard=(3, 2))
+    # strict admission: unknown keys and mistyped fields are refused, not
+    # ignored (a stray "families" would otherwise run the full campaign)
+    # or left to crash the runner
+    stamped = json.loads(campaign_spec(families=("two-party",)).to_json())
+    for edit, message in (
+        ({"families": "two-party"}, "unknown spec fields"),
+        ({"matrix": {**stamped["matrix"], "factroy": "x"}},
+         "unknown matrix fields"),
+        ({"workers": "two"}, "workers must be an integer"),
+        ({"workers": True}, "workers must be an integer"),
+        ({"limit": 2.5}, "limit must be an integer"),
+        ({"limit": False}, "limit must be an integer"),
+        ({"matrix": ["default"]}, "matrix must be a JSON object"),
+        ({"shard": "1/2"}, "shard must be null"),
+        ({"expect": {"campaign": 5}}, "expect must map"),
+        ({"digest": 5}, "digest must be a string"),
+    ):
+        with pytest.raises(ExperimentError, match=message):
+            ExperimentSpec.from_json(json.dumps({**stamped, **edit}))
+    with pytest.raises(ExperimentError, match="JSON object"):
+        ExperimentSpec.from_json("[1]")
+    # a tol with no canonical float is refused at construction, not at
+    # the first digest()
+    refine = json.loads(refine_spec(**GRID).to_json())
+    del refine["digest"]
+    with pytest.raises(ExperimentError, match="non-finite"):
+        ExperimentSpec.from_json(json.dumps({**refine, "tol": 10**400}))
+
+
+#: the ``spec`` invocations CI runs; strict admission must load each.
+CI_SPEC_ARGS = [
+    ["campaign", "--limit", "300", "--backend", "process"],
+    ["campaign", "--families", "broker,auction,bootstrap", "--shard", "2/2",
+     "--backend", "process"],
+    ["ablate", "--premiums", "0,0.02,0.05", "--shocks", "0.015,0.045",
+     "--engine", "simulator", "--backend", "process"],
+    ["ablate-refine", "--premiums", "0,0.02,0.05", "--shocks", "0.045",
+     "--stages", "staked", "--coalitions"],
+]
+
+
+@pytest.mark.parametrize("args", CI_SPEC_ARGS, ids=lambda a: a[0])
+def test_emitted_specs_load_with_their_stamped_digest(tmp_path, args):
+    from repro.cli import main
+
+    out = tmp_path / "spec.json"
+    main(["spec", *args, "--out", str(out)])
+    text = out.read_text()
+    assert ExperimentSpec.from_json(text).digest() == json.loads(text)["digest"]
 
 
 # ----------------------------------------------------------------------

@@ -177,7 +177,7 @@ class TestTelemetryInDigestRule:
 
 
 # ----------------------------------------------------------------------
-# ORD001
+# ordering hazards (FLOW002)
 # ----------------------------------------------------------------------
 class TestOrderingRule:
     def test_unsorted_walk_in_digest_function(self, tmp_path):
@@ -190,9 +190,8 @@ class TestOrderingRule:
             "        h.update(p.read_bytes())\n"
             "    return h.hexdigest()\n",
         )
-        # The heuristic flags the walk; the flow pass independently
-        # confirms the tainted bytes reach the hash sink.
-        assert sorted(codes_of(result)) == ["FLOW002", "ORD001"]
+        # Anchored at the hash sink the walk's bytes reach.
+        assert codes_of(result) == ["FLOW002"]
 
     def test_sorted_walk_is_clean(self, tmp_path):
         result = lint_snippet(
@@ -213,7 +212,8 @@ class TestOrderingRule:
             "def to_json(members: set) -> str:\n"
             "    return json.dumps([m for m in members])\n",
         )
-        assert codes_of(result) == ["ORD001"]
+        # No hash or canonical-JSON sink: the digest-named return is one.
+        assert codes_of(result) == ["FLOW002"]
 
     def test_set_literal_join_in_payload(self, tmp_path):
         result = lint_snippet(
@@ -221,7 +221,7 @@ class TestOrderingRule:
             "def payload(parties):\n"
             "    return ','.join({p for p in parties})\n",
         )
-        assert codes_of(result) == ["ORD001"]
+        assert codes_of(result) == ["FLOW002"]
 
     def test_order_free_consumers_clean(self, tmp_path):
         result = lint_snippet(
@@ -255,11 +255,11 @@ class TestOrderingRule:
             "        h.update(p.read_bytes())\n"
             "    return h.hexdigest()\n",
         )
-        assert sorted(codes_of(result)) == ["FLOW002", "ORD001"]
+        assert codes_of(result) == ["FLOW002"]
 
 
 # ----------------------------------------------------------------------
-# CANON001
+# float-canon hazards (FLOW003)
 # ----------------------------------------------------------------------
 class TestCanonFloatRule:
     def test_lossy_fstring_in_digest_code(self, tmp_path):
@@ -269,7 +269,9 @@ class TestCanonFloatRule:
             "def cell_digest(pi):\n"
             "    return sha256(f'{pi:g}'.encode()).hexdigest()\n",
         )
-        assert sorted(codes_of(result)) == ["CANON001", "FLOW003"]
+        [finding] = result.findings
+        assert finding.code == "FLOW003"
+        assert "repro.campaign.canon.fmt_fraction" in finding.message
 
     def test_format_call_and_printf_in_label_code(self, tmp_path):
         result = lint_snippet(
@@ -277,13 +279,8 @@ class TestCanonFloatRule:
             "def axis_label(pi, shock):\n"
             "    return format(pi, 'g') + '%g' % shock\n",
         )
-        # Both lossy spellings, each confirmed end-to-end at the label.
-        assert sorted(codes_of(result)) == [
-            "CANON001",
-            "CANON001",
-            "FLOW003",
-            "FLOW003",
-        ]
+        # Both lossy spellings, each reaching the label output.
+        assert codes_of(result) == ["FLOW003", "FLOW003"]
 
     def test_canonicalized_value_is_clean(self, tmp_path):
         result = lint_snippet(
@@ -518,8 +515,6 @@ class TestSeededFixtures:
             "DET001",
             "DET002",
             "DET003",
-            "ORD001",
-            "CANON001",
             "POOL001",
             "DIG001",
             "FLOW001",
@@ -533,10 +528,9 @@ class TestSeededFixtures:
 
     def test_seeded_quote_codes(self):
         """The quote-layer fixture: telemetry smuggled into a payload
-        (DIG001) and a tier set hashed in iteration order (ORD001, with
-        the flow pass confirming the set-to-hash path as FLOW002)."""
+        (DIG001) and a tier set hashed in iteration order (FLOW002)."""
         result = lint_paths([FIXTURES / "seeded_quote.py"])
-        assert sorted(codes_of(result)) == ["DIG001", "FLOW002", "ORD001"]
+        assert sorted(codes_of(result)) == ["DIG001", "FLOW002"]
 
     def test_cli_exits_nonzero_on_fixtures(self):
         proc = subprocess.run(
@@ -662,7 +656,7 @@ class TestCli:
         (tmp_path / "bad.py").write_text(
             "import time\ndef f():\n    return time.time()\n"
         )
-        assert lint_main([str(tmp_path), "--select", "ORD001"]) == 0
+        assert lint_main([str(tmp_path), "--select", "FLOW002"]) == 0
 
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
@@ -671,8 +665,6 @@ class TestCli:
             "DET001",
             "DET002",
             "DET003",
-            "ORD001",
-            "CANON001",
             "POOL001",
             "DIG001",
             "DIG002",
@@ -681,6 +673,8 @@ class TestCli:
             "FLOW003",
         ):
             assert code in out
+        for code in ("ORD001", "CANON001", "AUDIT001"):
+            assert code not in out
 
     def test_write_baseline_then_clean(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -820,8 +814,6 @@ class TestWholeTree:
 
     def test_rule_registry_complete(self):
         assert rule_codes() == (
-            "AUDIT001",
-            "CANON001",
             "DET001",
             "DET002",
             "DET003",
@@ -830,7 +822,6 @@ class TestWholeTree:
             "FLOW001",
             "FLOW002",
             "FLOW003",
-            "ORD001",
             "POOL001",
         )
 

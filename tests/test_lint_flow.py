@@ -11,8 +11,9 @@ Coverage per the subsystem's contract:
   taint), param→sink summaries, the digest-covered-field hop,
 - determinism: the ``--graph json`` export is byte-identical across
   runs, finding order is stable,
-- the ``--audit`` crosscheck: heuristic findings confirmed by a flow
-  hit stay silent; the deliberate unconfirmed case gains AUDIT001,
+- no seeded defect goes silent: every fixture function with an
+  ordering or float-text hazard draws FLOW002/FLOW003, including the
+  hazards a digest-named function builds and returns,
 - the analysis cache: linting the same sources twice reuses one
   analysis.
 """
@@ -33,12 +34,10 @@ FIXTURES = REPO_ROOT / "tests" / "lint_fixtures"
 FLOW_PAIR = [FIXTURES / "flow_helpers.py", FIXTURES / "seeded_flow.py"]
 
 HEURISTIC_CODES = [
-    "CANON001",
     "DET001",
     "DET002",
     "DET003",
     "DIG001",
-    "ORD001",
     "POOL001",
 ]
 
@@ -306,52 +305,67 @@ class TestGraphExport:
 
 
 # ----------------------------------------------------------------------
-# the --audit crosscheck
+# no seeded defect goes silent
 # ----------------------------------------------------------------------
-class TestAudit:
-    def test_confirmed_heuristic_findings_stay_silent(self, tmp_path):
-        # ORD001 at the walk + FLOW002 at the sink agree: no AUDIT001.
+#: every fixture function with an ordering or float-text hazard, and the
+#: flow code it must draw (the finding's chain ends at that function).
+SEEDED_DEFECTS = {
+    "seeded_ord.tree_digest": "FLOW002",
+    "seeded_ord.member_digest": "FLOW002",
+    "seeded_ord.label_payload": "FLOW002",
+    "seeded_obs.span_names_digest": "FLOW002",
+    "seeded_quote.ladder_digest": "FLOW002",
+    "seeded_canon.cell_digest": "FLOW003",
+    "seeded_canon.axis_label": "FLOW003",
+    "seeded_canon.legacy_payload": "FLOW003",
+}
+
+
+class TestSeededDefects:
+    def test_every_seeded_defect_still_draws_a_flow_finding(self):
+        result = lint_paths([FIXTURES])
+        drawn = {
+            (f.chain[-1], f.code)
+            for f in result.findings
+            if f.code in ("FLOW002", "FLOW003")
+        }
+        missing = {
+            label: code
+            for label, code in SEEDED_DEFECTS.items()
+            if (label, code) not in drawn
+        }
+        assert not missing
+
+    def test_printf_payload_return_draws_flow003(self, tmp_path):
+        # No hash, JSON or label sink: the digest-named return is one.
         result = lint_snippets(
             tmp_path,
             mod=(
-                "import hashlib\n"
-                "def tree_digest(root):\n"
-                "    h = hashlib.sha256()\n"
-                "    for p in root.rglob('*.py'):\n"
-                "        h.update(p.read_bytes())\n"
-                "    return h.hexdigest()\n"
+                "def legacy_payload(shock):\n"
+                "    return 's=%g' % shock\n"
             ),
         )
-        audited = lint_paths([tmp_path], audit=True)
-        assert sorted(codes_of(result)) == ["FLOW002", "ORD001"]
-        assert "AUDIT001" not in codes_of(audited)
+        [finding] = result.findings
+        assert finding.code == "FLOW003"
+        assert "digest-named return (legacy_payload)" in finding.message
 
-    def test_unconfirmed_heuristic_finding_gains_audit001(self, tmp_path):
-        # CANON001's name heuristic flags payload-named functions, but
-        # nothing provably consumes this one — the audit surfaces the
-        # disagreement instead of letting either layer win silently.
-        (tmp_path / "mod.py").write_text(
-            "def legacy_payload(shock):\n"
-            "    return 's=%g' % shock\n"
-        )
-        audited = lint_paths([tmp_path], audit=True)
-        assert sorted(codes_of(audited)) == ["AUDIT001", "CANON001"]
-        [audit] = [f for f in audited.findings if f.code == "AUDIT001"]
-        assert "CANON001" in audit.message
-
-    def test_seeded_canon_audit_pins_the_one_unconfirmed_case(self):
-        audited = lint_paths(
-            [FIXTURES / "seeded_canon.py"], audit=True
-        )
-        audits = [f for f in audited.findings if f.code == "AUDIT001"]
-        assert [f.line for f in audits] == [18]  # legacy_payload only
-
-    def test_shipped_tree_is_audit_clean(self):
-        from repro.lint import Baseline
-
-        baseline = Baseline.load(REPO_ROOT / "lint-baseline.json")
-        result = lint_paths(
-            [REPO_ROOT / "src" / "repro"], baseline=baseline, audit=True
+    def test_return_sink_takes_only_local_order_and_float_hazards(
+        self, tmp_path
+    ):
+        # Transport fields (a timing in to_json) and hazards a helper
+        # built (its set reaches describe() through a call) do not sink
+        # at the return: they are judged where they reach a hash.
+        result = lint_snippets(
+            tmp_path,
+            mod=(
+                "import time\n"
+                "def members(raw):\n"
+                "    return {r.strip() for r in raw}\n"
+                "def to_json(run):\n"
+                "    return {'run': run, 'wall': time.perf_counter()}\n"
+                "def describe(raw):\n"
+                "    return ','.join(members(raw))\n"
+            ),
         )
         assert result.ok, "\n".join(f.render() for f in result.findings)
 

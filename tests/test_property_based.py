@@ -1,8 +1,11 @@
 """Hypothesis property tests on the core data structures and invariants."""
 
+import json
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.campaign.experiment import ExperimentError, ExperimentSpec
 from repro.chain.assets import Asset
 from repro.chain.ledger import Ledger
 from repro.core.hedged_two_party import HedgedTwoPartySpec, HedgedTwoPartySwap
@@ -19,6 +22,7 @@ from repro.graph.digraph import SwapGraph
 from repro.graph.feedback import is_feedback_vertex_set, minimum_feedback_vertex_set
 from repro.parties.strategies import Deviant
 from repro.protocols.instance import execute
+from repro.quote.request import QuoteError, QuoteRequest
 
 # ----------------------------------------------------------------------
 # ledger conservation under arbitrary operation sequences
@@ -201,3 +205,90 @@ def test_hashlock_roundtrip_any_preimage(preimage):
     secret = Secret(preimage)
     assert secret.hashlock.matches(preimage)
     assert not secret.hashlock.matches(preimage + b"\x00")
+
+
+# ----------------------------------------------------------------------
+# boundary admission: QuoteRequest / ExperimentSpec from_json
+# ----------------------------------------------------------------------
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8)
+)
+JSON_VALUES = JSON_SCALARS | st.lists(JSON_SCALARS, max_size=3)
+
+
+def _fields(valid: dict, required=()) -> st.SearchStrategy:
+    """Objects over the known keys with plausible values, then at most one
+    edit: a known key set to arbitrary JSON, or one stray key added."""
+    plausible = st.fixed_dictionaries(
+        {key: st.sampled_from(valid[key]) for key in required},
+        optional={
+            key: st.sampled_from(v)
+            for key, v in valid.items()
+            if key not in required
+        },
+    )
+    known_edit = st.tuples(st.sampled_from(sorted(valid)), JSON_VALUES)
+    stray_edit = st.tuples(
+        st.text(max_size=6).filter(lambda key: key not in valid), JSON_VALUES
+    )
+    edit = st.one_of(st.none(), known_edit, known_edit, stray_edit)
+    return st.builds(
+        lambda obj, kv: {**obj, **dict([kv] if kv else [])}, plausible, edit
+    )
+
+
+QUOTE_KEYS = {
+    "family": ["two-party", "broker", "multi-party"],
+    "graph": ["ring:3", "complete:4", "figure3"],
+    "coalition": [""],
+    "shock": [0.045, 0.2],
+    "stage": ["staked", "pre-stake", "round:2"],
+    "tol": [0.01],
+    "seed": [0, 3],
+    "digest": ["0" * 64],
+}
+# A request names a family or a graph: build each shape on its own.
+QUOTE_FIELDS = st.one_of(
+    _fields({k: v for k, v in QUOTE_KEYS.items() if k != other}, (shape,))
+    for shape, other in (("family", "graph"), ("graph", "family"))
+)
+
+SPEC_FIELDS = _fields({
+    "kind": ["campaign", "ablate", "ablate-refine"],
+    "matrix": [
+        {"factory": "default"},
+        {"factory": "ablation", "args": [], "kwargs": {"seed": 1}},
+    ],
+    "backend": ["serial", "process"],
+    "workers": [None, 2],
+    "limit": [None, 5],
+    "shard": [None, [1, 2]],
+    "tol": [None, 0.01],
+    "engine": ["simulator", "kernel"],
+    "expect": [{}, {"campaign": "0" * 64}],
+    "digest": ["0" * 64],
+}, required=("kind", "matrix"))
+
+
+def _admits_or_refuses(load, error, obj) -> None:
+    try:
+        admitted = load(json.dumps(obj))
+    except error:
+        return
+    assert load(admitted.to_json()).digest() == admitted.digest()
+
+
+@settings(max_examples=100, deadline=None)
+@given(QUOTE_FIELDS)
+def test_quote_request_admission_never_escapes(obj):
+    _admits_or_refuses(QuoteRequest.from_json, QuoteError, obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(SPEC_FIELDS)
+def test_experiment_spec_admission_never_escapes(obj):
+    _admits_or_refuses(ExperimentSpec.from_json, ExperimentError, obj)

@@ -108,6 +108,16 @@ class TestQuoteRequest:
             {"family": "two-party", "seed": True},
             {"family": "two-party", "shock": "0.2"},
             {"family": "two-party", "tol": None},
+            # non-string text fields are refused, not left to crash the
+            # family/stage lookups or the digest-mismatch message
+            {"graph": ["ring:3"]},
+            {"family": "broker", "stage": 5},
+            {"family": "broker", "digest": 5},
+            # an integer too large for a double has no canonical float
+            {"family": "two-party", "tol": 10**400},
+            # str.isdigit() accepts non-ASCII digits that int() refuses
+            {"family": "two-party", "stage": "round:\u00b2"},
+            {"graph": "ring:\u00b2"},
         ):
             with pytest.raises(QuoteError):
                 QuoteRequest.from_json(json.dumps(bad))
